@@ -15,7 +15,7 @@ namespace ckptfi::core {
 namespace {
 
 constexpr std::uint32_t kMagic = 0x43584650;  // "PFXC"
-constexpr std::uint8_t kVersion = 1;
+constexpr std::uint8_t kVersion = 2;  // 2: masks as u8 bytes
 
 /// Sequential little-endian cursor over an mh5::Source — the read-side twin
 /// of mh5::SinkWriter (the mh5 layer itself only does random access).
@@ -67,6 +67,11 @@ void write_f64_vec(mh5::SinkWriter& w, const std::vector<double>& v) {
   if (!v.empty()) w.raw(v.data(), v.size() * sizeof(double));
 }
 
+void write_u8_vec(mh5::SinkWriter& w, const std::vector<std::uint8_t>& v) {
+  w.u64(v.size());
+  if (!v.empty()) w.raw(v.data(), v.size());
+}
+
 std::vector<std::uint64_t> read_u64_vec(SourceReader& r) {
   const std::uint64_t n = r.u64();
   require(n <= r.src.size(), "prefix spill: u64 vector length corrupt");
@@ -80,6 +85,14 @@ std::vector<double> read_f64_vec(SourceReader& r) {
   require(n <= r.src.size(), "prefix spill: f64 vector length corrupt");
   std::vector<double> v(static_cast<std::size_t>(n));
   if (n > 0) r.raw(v.data(), v.size() * sizeof(double));
+  return v;
+}
+
+std::vector<std::uint8_t> read_u8_vec(SourceReader& r) {
+  const std::uint64_t n = r.u64();
+  require(n <= r.src.size(), "prefix spill: u8 vector length corrupt");
+  std::vector<std::uint8_t> v(static_cast<std::size_t>(n));
+  if (n > 0) r.raw(v.data(), v.size());
   return v;
 }
 
@@ -119,6 +132,7 @@ void write_prefix_entry(mh5::Sink& sink, const PrefixEntryData& entry) {
     w.u8(static_cast<std::uint8_t>(b.tag));
     write_f64_vec(w, b.f64);
     write_u64_vec(w, b.u64);
+    write_u8_vec(w, b.u8);
   }
 
   w.u64(entry.probe_prefix.size());
@@ -164,6 +178,7 @@ PrefixEntryData read_prefix_entry(const mh5::Source& src) {
     b.tag = static_cast<nn::PrefixState::Tag>(r.u8());
     b.f64 = read_f64_vec(r);
     b.u64 = read_u64_vec(r);
+    b.u8 = read_u8_vec(r);
     entry.state.append_block(std::move(b));
   }
 

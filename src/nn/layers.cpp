@@ -1,10 +1,46 @@
 #include "nn/layers.hpp"
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 
 #include "util/common.hpp"
 
 namespace ckptfi::nn {
+
+// --- byte-mask loops ---------------------------------------------------------
+//
+// Branch-free: the keep test `!(v <= 0)` is a compare, and zeroing is an AND
+// of the value's bits with 0 or all-ones. +0.0 is the all-zero pattern, so a
+// dropped element becomes +0.0 whatever its sign was.
+
+namespace {
+
+inline double keep_or_zero(double v, std::uint8_t keep) {
+  return std::bit_cast<double>(std::bit_cast<std::uint64_t>(v) &
+                               (std::uint64_t{0} - keep));
+}
+
+inline double relu_one(double v, std::uint8_t& mask) {
+  mask = !(v <= 0.0);
+  return keep_or_zero(v, mask);
+}
+
+}  // namespace
+
+void relu_inplace(double* x, const double* addend, std::uint8_t* mask,
+                  std::size_t n) {
+  if (addend == nullptr) {
+    for (std::size_t i = 0; i < n; ++i) x[i] = relu_one(x[i], mask[i]);
+  } else {
+    for (std::size_t i = 0; i < n; ++i)
+      x[i] = relu_one(x[i] + addend[i], mask[i]);
+  }
+}
+
+void apply_mask(double* g, const std::uint8_t* mask, std::size_t n) {
+  for (std::size_t i = 0; i < n; ++i) g[i] = keep_or_zero(g[i], mask[i]);
+}
 
 // --- Conv2D -----------------------------------------------------------------
 
@@ -98,25 +134,14 @@ void Dense::collect_params(std::vector<ParamRef>& out) {
 
 Tensor ReLU::forward(const Tensor& x, bool) {
   Tensor y = x;
-  mask_.assign(x.numel(), false);
-  for (std::size_t i = 0; i < y.numel(); ++i) {
-    if (y[i] > 0.0) {
-      mask_[i] = true;
-    } else if (std::isnan(y[i])) {
-      // relu(NaN) = NaN in the frameworks we model; keep propagation alive.
-      mask_[i] = true;
-    } else {
-      y[i] = 0.0;
-    }
-  }
+  mask_.resize(y.numel());
+  relu_inplace(y.data(), nullptr, mask_.data(), y.numel());
   return y;
 }
 
 Tensor ReLU::backward(const Tensor& dy) {
   Tensor dx = dy;
-  for (std::size_t i = 0; i < dx.numel(); ++i) {
-    if (!mask_[i]) dx[i] = 0.0;
-  }
+  apply_mask(dx.data(), mask_.data(), dx.numel());
   return dx;
 }
 
@@ -187,6 +212,65 @@ void BatchNorm2D::init_params(Rng&) {
   running_var_.fill(1.0);
 }
 
+namespace {
+
+/// Batch mean and biased variance of channels [ch, ch + group), group 1 or
+/// 4. Each channel's two sums are serial chains in ascending (image,
+/// position) order, exactly as a one-channel loop adds them; with group 4
+/// the four channels' chains interleave so they overlap in the FP pipeline.
+void batch_stats(const double* x, std::size_t n, std::size_t c,
+                 std::size_t hw, std::size_t ch, std::size_t group,
+                 double count, double* mean, double* var) {
+  if (group == 1) {
+    double s = 0.0;
+    for (std::size_t i = 0; i < n; ++i) {
+      const double* p = x + (i * c + ch) * hw;
+      for (std::size_t j = 0; j < hw; ++j) s += p[j];
+    }
+    const double m = s / count;
+    double v = 0.0;
+    for (std::size_t i = 0; i < n; ++i) {
+      const double* p = x + (i * c + ch) * hw;
+      for (std::size_t j = 0; j < hw; ++j) v += (p[j] - m) * (p[j] - m);
+    }
+    mean[0] = m;
+    var[0] = v / count;
+    return;
+  }
+  double s0 = 0.0, s1 = 0.0, s2 = 0.0, s3 = 0.0;
+  for (std::size_t i = 0; i < n; ++i) {
+    const double* p = x + (i * c + ch) * hw;
+    for (std::size_t j = 0; j < hw; ++j) {
+      s0 += p[j];
+      s1 += p[hw + j];
+      s2 += p[2 * hw + j];
+      s3 += p[3 * hw + j];
+    }
+  }
+  const double m0 = s0 / count, m1 = s1 / count, m2 = s2 / count,
+               m3 = s3 / count;
+  double v0 = 0.0, v1 = 0.0, v2 = 0.0, v3 = 0.0;
+  for (std::size_t i = 0; i < n; ++i) {
+    const double* p = x + (i * c + ch) * hw;
+    for (std::size_t j = 0; j < hw; ++j) {
+      v0 += (p[j] - m0) * (p[j] - m0);
+      v1 += (p[hw + j] - m1) * (p[hw + j] - m1);
+      v2 += (p[2 * hw + j] - m2) * (p[2 * hw + j] - m2);
+      v3 += (p[3 * hw + j] - m3) * (p[3 * hw + j] - m3);
+    }
+  }
+  mean[0] = m0;
+  mean[1] = m1;
+  mean[2] = m2;
+  mean[3] = m3;
+  var[0] = v0 / count;
+  var[1] = v1 / count;
+  var[2] = v2 / count;
+  var[3] = v3 / count;
+}
+
+}  // namespace
+
 Tensor BatchNorm2D::forward(const Tensor& x, bool training) {
   require(x.rank() == 4 && x.dim(1) == channels_,
           "BatchNorm2D '" + name() + "': bad input shape");
@@ -199,39 +283,37 @@ Tensor BatchNorm2D::forward(const Tensor& x, bool training) {
   Tensor y(x.shape());
   x_hat_.resize(x.shape());
 
-  for (std::size_t ch = 0; ch < c; ++ch) {
-    double m, var;
-    if (training) {
-      double s = 0.0;
+  for (std::size_t ch0 = 0; ch0 < c;) {
+    const std::size_t group = training && ch0 + 4 <= c ? 4 : 1;
+    double mean[4], var[4];
+    if (training) batch_stats(x.data(), n, c, hw, ch0, group, count, mean, var);
+    for (std::size_t g = 0; g < group; ++g) {
+      const std::size_t ch = ch0 + g;
+      double m, v;
+      if (training) {
+        m = mean[g];
+        v = var[g];
+        running_mean_[ch] = momentum_ * running_mean_[ch] + (1 - momentum_) * m;
+        running_var_[ch] = momentum_ * running_var_[ch] + (1 - momentum_) * v;
+      } else {
+        m = running_mean_[ch];
+        v = running_var_[ch];
+      }
+      const double inv_std = 1.0 / std::sqrt(v + eps_);
+      batch_mean_[ch] = m;
+      batch_inv_std_[ch] = inv_std;
+      const double gamma = gamma_[ch], beta = beta_[ch];
       for (std::size_t i = 0; i < n; ++i) {
         const double* p = x.data() + (i * c + ch) * hw;
-        for (std::size_t j = 0; j < hw; ++j) s += p[j];
-      }
-      m = s / count;
-      double v = 0.0;
-      for (std::size_t i = 0; i < n; ++i) {
-        const double* p = x.data() + (i * c + ch) * hw;
-        for (std::size_t j = 0; j < hw; ++j) v += (p[j] - m) * (p[j] - m);
-      }
-      var = v / count;
-      running_mean_[ch] = momentum_ * running_mean_[ch] + (1 - momentum_) * m;
-      running_var_[ch] = momentum_ * running_var_[ch] + (1 - momentum_) * var;
-    } else {
-      m = running_mean_[ch];
-      var = running_var_[ch];
-    }
-    const double inv_std = 1.0 / std::sqrt(var + eps_);
-    batch_mean_[ch] = m;
-    batch_inv_std_[ch] = inv_std;
-    for (std::size_t i = 0; i < n; ++i) {
-      const double* p = x.data() + (i * c + ch) * hw;
-      double* ph = x_hat_.data() + (i * c + ch) * hw;
-      double* py = y.data() + (i * c + ch) * hw;
-      for (std::size_t j = 0; j < hw; ++j) {
-        ph[j] = (p[j] - m) * inv_std;
-        py[j] = gamma_[ch] * ph[j] + beta_[ch];
+        double* ph = x_hat_.data() + (i * c + ch) * hw;
+        double* py = y.data() + (i * c + ch) * hw;
+        for (std::size_t j = 0; j < hw; ++j) {
+          ph[j] = (p[j] - m) * inv_std;
+          py[j] = gamma * ph[j] + beta;
+        }
       }
     }
+    ch0 += group;
   }
   return y;
 }

@@ -2,10 +2,23 @@
 // BatchNorm2D.
 #pragma once
 
+#include <cstddef>
+#include <cstdint>
+#include <vector>
+
 #include "nn/layer.hpp"
 #include "tensor/ops.hpp"
 
 namespace ckptfi::nn {
+
+/// ReLU over x[0..n) in place, of x + addend when `addend` is not null:
+/// mask[i] = !(v <= 0), so NaN is kept, and x[i] = v where kept, +0.0 where
+/// not (-0.0 becomes +0.0). Branch-free.
+void relu_inplace(double* x, const double* addend, std::uint8_t* mask,
+                  std::size_t n);
+
+/// g[i] = +0.0 where mask[i] == 0, unchanged elsewhere. Branch-free.
+void apply_mask(double* g, const std::uint8_t* mask, std::size_t n);
 
 /// 2-d convolution with bias. Weight layout is canonical OIHW
 /// [out_ch, in_ch, k, k]; framework adapters permute on checkpoint save.
@@ -58,6 +71,8 @@ class Dense : public Layer {
   Tensor x_cache_;
 };
 
+/// y = v where !(v <= 0), else +0.0: NaN passes through (relu(NaN) = NaN
+/// in the frameworks we model) and -0.0 maps to +0.0.
 class ReLU : public Layer {
  public:
   explicit ReLU(std::string name) : Layer(std::move(name)) {}
@@ -68,7 +83,7 @@ class ReLU : public Layer {
   void restore_forward_state(PrefixStateReader& in) override;
 
  private:
-  std::vector<bool> mask_;
+  std::vector<std::uint8_t> mask_;  ///< 1 where the forward kept x
 };
 
 class MaxPool2D : public Layer {

@@ -13,11 +13,10 @@ void PrefixState::put_tensor(const Tensor& t) {
   blocks_.push_back(std::move(b));
 }
 
-void PrefixState::put_mask(const std::vector<bool>& m) {
+void PrefixState::put_mask(const std::vector<std::uint8_t>& m) {
   Block b;
   b.tag = Tag::kMask;
-  b.u64.reserve(m.size());
-  for (const bool v : m) b.u64.push_back(v ? 1 : 0);
+  b.u8 = m;
   blocks_.push_back(std::move(b));
 }
 
@@ -47,7 +46,8 @@ void PrefixState::put_scalars(const std::vector<double>& v) {
 std::size_t PrefixState::byte_size() const {
   std::size_t n = 0;
   for (const Block& b : blocks_) {
-    n += b.f64.size() * sizeof(double) + b.u64.size() * sizeof(std::uint64_t);
+    n += b.f64.size() * sizeof(double) +
+         b.u64.size() * sizeof(std::uint64_t) + b.u8.size();
   }
   return n;
 }
@@ -76,10 +76,10 @@ void PrefixStateReader::take_tensor(Tensor& t) {
   for (std::size_t i = 0; i < b.f64.size(); ++i) t[i] = b.f64[i];
 }
 
-void PrefixStateReader::take_mask(std::vector<bool>& m) {
+void PrefixStateReader::take_mask(std::vector<std::uint8_t>& m) {
   const PrefixState::Block& b = next(PrefixState::Tag::kMask);
-  m.assign(b.u64.size(), false);
-  for (std::size_t i = 0; i < b.u64.size(); ++i) m[i] = b.u64[i] != 0;
+  m.resize(b.u8.size());
+  for (std::size_t i = 0; i < b.u8.size(); ++i) m[i] = b.u8[i] != 0;
 }
 
 void PrefixStateReader::take_indices(std::vector<std::size_t>& v) {

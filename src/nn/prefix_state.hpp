@@ -9,11 +9,11 @@
 // trial, so the skipped prefix behaves bitwise-identically to having run.
 //
 // The representation is deliberately flat — tagged blocks of f64/u64 words
-// in capture order — so core::PrefixCache can stream it through the mh5
-// Sink/Source layer to spill big prefixes to disk without nn depending on
-// the checkpoint format. Capture and restore must traverse layers in the
-// same order; the tag check on every take_* catches schema drift loudly
-// instead of silently corrupting a trial.
+// (u8 bytes for masks) in capture order — so core::PrefixCache can stream
+// it through the mh5 Sink/Source layer to spill big prefixes to disk
+// without nn depending on the checkpoint format. Capture and restore must
+// traverse layers in the same order; the tag check on every take_* catches
+// schema drift loudly instead of silently corrupting a trial.
 #pragma once
 
 #include <cstddef>
@@ -28,7 +28,7 @@ class PrefixState {
  public:
   enum class Tag : std::uint8_t {
     kTensor = 0,   ///< shape in u64, row-major data in f64
-    kMask = 1,     ///< 0/1 per element in u64
+    kMask = 1,     ///< 0/1 per element in u8
     kIndices = 2,  ///< raw indices in u64
     kShape = 3,    ///< dims in u64
     kScalars = 4,  ///< raw doubles in f64
@@ -39,11 +39,12 @@ class PrefixState {
     Tag tag = Tag::kTensor;
     std::vector<double> f64;
     std::vector<std::uint64_t> u64;
+    std::vector<std::uint8_t> u8;
   };
 
   // --- capture side -------------------------------------------------------
   void put_tensor(const Tensor& t);
-  void put_mask(const std::vector<bool>& m);
+  void put_mask(const std::vector<std::uint8_t>& m);
   void put_indices(const std::vector<std::size_t>& v);
   void put_shape(const Shape& s);
   void put_scalars(const std::vector<double>& v);
@@ -55,7 +56,8 @@ class PrefixState {
   bool empty() const { return blocks_.empty(); }
   void clear() { blocks_.clear(); }
 
-  /// Payload estimate (bytes of f64 + u64 words) for cache budgeting.
+  /// Payload estimate (bytes of f64 + u64 words + u8 bytes) for cache
+  /// budgeting.
   std::size_t byte_size() const;
 
  private:
@@ -70,7 +72,8 @@ class PrefixStateReader {
   explicit PrefixStateReader(const PrefixState& state) : state_(&state) {}
 
   void take_tensor(Tensor& t);
-  void take_mask(std::vector<bool>& m);
+  /// Restores each byte as 0 or 1, whatever nonzero value was stored.
+  void take_mask(std::vector<std::uint8_t>& m);
   void take_indices(std::vector<std::size_t>& v);
   void take_shape(Shape& s);
   void take_scalars(std::vector<double>& v);

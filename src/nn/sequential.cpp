@@ -1,7 +1,6 @@
 #include "nn/sequential.hpp"
 
-#include <cmath>
-
+#include "nn/layers.hpp"
 #include "obs/probes.hpp"
 #include "util/common.hpp"
 
@@ -102,34 +101,30 @@ Residual::Residual(std::string name, LayerPtr main_path, LayerPtr shortcut)
 }
 
 Tensor Residual::forward(const Tensor& x, bool training) {
-  Tensor m = main_->forward(x, training);
-  Tensor s = shortcut_ ? shortcut_->forward(x, training) : x;
-  require(m.shape() == s.shape(),
+  // The join is written into the main branch's output; an identity
+  // shortcut reads x in place.
+  Tensor y = main_->forward(x, training);
+  Tensor projected;
+  if (shortcut_) projected = shortcut_->forward(x, training);
+  const Tensor& s = shortcut_ ? projected : x;
+  require(y.shape() == s.shape(),
           "Residual '" + name() + "': branch shape mismatch " +
-              shape_to_string(m.shape()) + " vs " + shape_to_string(s.shape()));
-  Tensor y(m.shape());
-  relu_mask_.assign(y.numel(), false);
-  for (std::size_t i = 0; i < y.numel(); ++i) {
-    const double v = m[i] + s[i];
-    if (v > 0.0 || std::isnan(v)) {
-      y[i] = v;
-      relu_mask_[i] = true;
-    } else {
-      y[i] = 0.0;
-    }
-  }
+              shape_to_string(y.shape()) + " vs " + shape_to_string(s.shape()));
+  relu_mask_.resize(y.numel());
+  relu_inplace(y.data(), s.data(), relu_mask_.data(), y.numel());
   return y;
 }
 
 Tensor Residual::backward(const Tensor& dy) {
   Tensor g = dy;
-  for (std::size_t i = 0; i < g.numel(); ++i) {
-    if (!relu_mask_[i]) g[i] = 0.0;
+  apply_mask(g.data(), relu_mask_.data(), g.numel());
+  Tensor dx = main_->backward(g);
+  if (shortcut_) {
+    dx += shortcut_->backward(g);
+  } else {
+    dx += g;
   }
-  Tensor dx_main = main_->backward(g);
-  Tensor dx_skip = shortcut_ ? shortcut_->backward(g) : g;
-  dx_main += dx_skip;
-  return dx_main;
+  return dx;
 }
 
 void Residual::collect_params(std::vector<ParamRef>& out) {

@@ -1,6 +1,7 @@
 // Layer containers: Sequential chains and Residual (skip-connection) blocks.
 #pragma once
 
+#include <cstdint>
 #include <memory>
 #include <vector>
 
@@ -83,7 +84,7 @@ class Residual : public Layer {
  private:
   LayerPtr main_;
   LayerPtr shortcut_;  // nullptr => identity
-  std::vector<bool> relu_mask_;
+  std::vector<std::uint8_t> relu_mask_;  ///< 1 where the join ReLU kept the sum
 };
 
 }  // namespace ckptfi::nn

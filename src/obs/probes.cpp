@@ -1,8 +1,16 @@
 #include "obs/probes.hpp"
 
+#include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <limits>
 
 #include "util/common.hpp"
+
+#if defined(__SSE2__)
+#define CKPTFI_PROBES_SSE2 1
+#include <emmintrin.h>
+#endif
 
 namespace ckptfi::obs {
 
@@ -55,8 +63,49 @@ TensorStats tensor_stats(const double* x, std::size_t n) {
   TensorStats s;
   s.numel = n;
   double sumsq = 0.0;
-  // Ascending-element accumulation: the documented deterministic order.
-  for (std::size_t i = 0; i < n; ++i) {
+  std::size_t i = 0;
+#if defined(CKPTFI_PROBES_SSE2)
+  // Two elements per step. Counts, max and squares are lane-wise; only the
+  // sum of squares is a chain, and it stays serial in ascending element
+  // order. A non-finite element contributes +0.0 to it, which leaves the
+  // sum's bits alone: the sum starts at +0.0 and only ever adds squares,
+  // so it is never -0.0. Counts accumulate the all-ones compare masks
+  // (-1 per hit) with an integer subtract, no popcount.
+  const __m128d sign = _mm_set1_pd(-0.0);
+  const __m128d inf = _mm_set1_pd(std::numeric_limits<double>::infinity());
+  const __m128d zero = _mm_setzero_pd();
+  __m128i nan_count = _mm_setzero_si128();
+  __m128i inf_count = _mm_setzero_si128();
+  __m128i zero_count = _mm_setzero_si128();
+  __m128d max_abs = zero;
+  for (; i + 2 <= n; i += 2) {
+    const __m128d v = _mm_loadu_pd(x + i);
+    const __m128d a = _mm_andnot_pd(sign, v);
+    const __m128d finite = _mm_cmplt_pd(a, inf);  // false for NaN and Inf
+    const __m128i is_nan = _mm_castpd_si128(_mm_cmpunord_pd(v, v));
+    const __m128i is_inf = _mm_castpd_si128(_mm_cmpeq_pd(a, inf));
+    const __m128i is_zero = _mm_castpd_si128(_mm_cmpeq_pd(v, zero));
+    nan_count = _mm_sub_epi64(nan_count, is_nan);
+    inf_count = _mm_sub_epi64(inf_count, is_inf);
+    zero_count = _mm_sub_epi64(zero_count, is_zero);
+    max_abs = _mm_max_pd(max_abs, _mm_and_pd(a, finite));
+    const __m128d sq = _mm_and_pd(_mm_mul_pd(v, v), finite);
+    sumsq += _mm_cvtsd_f64(sq);
+    sumsq += _mm_cvtsd_f64(_mm_unpackhi_pd(sq, sq));
+  }
+  alignas(16) std::uint64_t counts[6];
+  _mm_store_si128(reinterpret_cast<__m128i*>(counts), nan_count);
+  _mm_store_si128(reinterpret_cast<__m128i*>(counts + 2), inf_count);
+  _mm_store_si128(reinterpret_cast<__m128i*>(counts + 4), zero_count);
+  s.nan_count = counts[0] + counts[1];
+  s.inf_count = counts[2] + counts[3];
+  s.zero_count = counts[4] + counts[5];
+  s.max_abs = std::max(_mm_cvtsd_f64(max_abs),
+                       _mm_cvtsd_f64(_mm_unpackhi_pd(max_abs, max_abs)));
+#endif
+  // Ascending-element accumulation: the documented deterministic order
+  // (the whole pass without SSE2, the odd last element with it).
+  for (; i < n; ++i) {
     const double v = x[i];
     if (std::isnan(v)) {
       ++s.nan_count;

@@ -9,8 +9,9 @@
 // NaN/Inf onset coordinates, and propagation depth (how many layers the
 // corruption reached).
 //
-// Determinism contract: stats accumulate serially in ascending element
-// order, recording is observation-only (never mutates the tensors), and a
+// Determinism contract: the sum of squares accumulates serially in
+// ascending element order (counts and max do not depend on order),
+// recording is observation-only (never mutates the tensors), and a
 // trial's sink is installed thread-locally via Probes::Scope — so timelines
 // are a pure function of the trial, bitwise-invariant under `--jobs N`, and
 // probes-on vs probes-off trainings produce bit-identical checkpoints.
@@ -60,7 +61,8 @@ struct TensorStats {
   Json to_json() const;
 };
 
-/// One serial ascending-order pass over `x[0..n)`.
+/// One pass over `x[0..n)`: lane-wise counts and max (SSE2 on x86-64), the
+/// sum of squares a serial ascending-order chain.
 TensorStats tensor_stats(const double* x, std::size_t n);
 
 enum class ProbePhase : std::uint8_t { kForward = 0, kBackward = 1 };

@@ -43,31 +43,68 @@ void run_chunks(std::size_t n, bool parallel,
   }
 }
 
+namespace {
+
+/// Output positions [lo, hi) along one axis whose input coordinate
+/// o*stride + k - pad lands inside [0, in): the in-bounds run of one kernel
+/// tap. Empty (lo == hi) when the tap only ever reads padding.
+struct TapRun {
+  std::size_t lo, hi;
+};
+
+TapRun tap_run(std::size_t k, std::size_t in, std::size_t out,
+               const ConvSpec& spec) {
+  const std::size_t s = spec.stride;
+  // o >= ceil((pad - k) / s) keeps the coordinate >= 0.
+  const std::size_t lo =
+      spec.pad > k ? std::min(out, (spec.pad - k + s - 1) / s) : 0;
+  // o < ceil((in + pad - k) / s) keeps it < in.
+  const std::size_t end = in + spec.pad;
+  const std::size_t hi = end > k ? std::min(out, (end - k + s - 1) / s) : 0;
+  return {lo, std::max(lo, hi)};
+}
+
+/// Offset in one input map of output position (oy, ox) under kernel tap
+/// (ky, kx); both coordinates must lie inside their tap runs.
+std::size_t tap_offset(std::size_t oy, std::size_t ky, std::size_t ox,
+                       std::size_t kx, const detail::ConvDims& d,
+                       const ConvSpec& spec) {
+  return (oy * spec.stride + ky - spec.pad) * d.w + ox * spec.stride + kx -
+         spec.pad;
+}
+
+}  // namespace
+
 void im2col(const double* xi, const detail::ConvDims& d, const ConvSpec& spec,
             double* col) {
+  const std::size_t s = spec.stride;
   double* out = col;
   for (std::size_t ic = 0; ic < d.ci; ++ic) {
     const double* xmap = xi + ic * d.h * d.w;
     for (std::size_t ky = 0; ky < d.kh; ++ky) {
+      const TapRun rows = tap_run(ky, d.h, d.ho, spec);
       for (std::size_t kx = 0; kx < d.kw; ++kx) {
-        for (std::size_t oy = 0; oy < d.ho; ++oy) {
-          const std::ptrdiff_t iy =
-              static_cast<std::ptrdiff_t>(oy * spec.stride + ky) -
-              static_cast<std::ptrdiff_t>(spec.pad);
-          if (iy < 0 || iy >= static_cast<std::ptrdiff_t>(d.h)) {
-            for (std::size_t ox = 0; ox < d.wo; ++ox) *out++ = 0.0;
-            continue;
+        const TapRun cols = tap_run(kx, d.w, d.wo, spec);
+        const std::size_t run = cols.hi - cols.lo;
+        std::fill_n(out, rows.lo * d.wo, 0.0);
+        out += rows.lo * d.wo;
+        for (std::size_t oy = rows.lo; oy < rows.hi; ++oy) {
+          std::fill_n(out, cols.lo, 0.0);
+          if (run > 0) {
+            const double* src =
+                xmap + tap_offset(oy, ky, cols.lo, kx, d, spec);
+            if (s == 1) {
+              std::copy_n(src, run, out + cols.lo);
+            } else {
+              for (std::size_t j = 0; j < run; ++j)
+                out[cols.lo + j] = src[j * s];
+            }
           }
-          const double* xrow = xmap + static_cast<std::size_t>(iy) * d.w;
-          for (std::size_t ox = 0; ox < d.wo; ++ox) {
-            const std::ptrdiff_t ix =
-                static_cast<std::ptrdiff_t>(ox * spec.stride + kx) -
-                static_cast<std::ptrdiff_t>(spec.pad);
-            *out++ = (ix < 0 || ix >= static_cast<std::ptrdiff_t>(d.w))
-                         ? 0.0
-                         : xrow[static_cast<std::size_t>(ix)];
-          }
+          std::fill_n(out + cols.hi, d.wo - cols.hi, 0.0);
+          out += d.wo;
         }
+        std::fill_n(out, (d.ho - rows.hi) * d.wo, 0.0);
+        out += (d.ho - rows.hi) * d.wo;
       }
     }
   }
@@ -75,29 +112,21 @@ void im2col(const double* xi, const detail::ConvDims& d, const ConvSpec& spec,
 
 void col2im(const double* col, const detail::ConvDims& d, const ConvSpec& spec,
             double* dxi) {
+  const std::size_t s = spec.stride;
   const double* in = col;
   for (std::size_t ic = 0; ic < d.ci; ++ic) {
     double* dxmap = dxi + ic * d.h * d.w;
     for (std::size_t ky = 0; ky < d.kh; ++ky) {
+      const TapRun rows = tap_run(ky, d.h, d.ho, spec);
       for (std::size_t kx = 0; kx < d.kw; ++kx) {
-        for (std::size_t oy = 0; oy < d.ho; ++oy) {
-          const std::ptrdiff_t iy =
-              static_cast<std::ptrdiff_t>(oy * spec.stride + ky) -
-              static_cast<std::ptrdiff_t>(spec.pad);
-          if (iy < 0 || iy >= static_cast<std::ptrdiff_t>(d.h)) {
-            in += d.wo;
-            continue;
-          }
-          double* dxrow = dxmap + static_cast<std::size_t>(iy) * d.w;
-          for (std::size_t ox = 0; ox < d.wo; ++ox) {
-            const std::ptrdiff_t ix =
-                static_cast<std::ptrdiff_t>(ox * spec.stride + kx) -
-                static_cast<std::ptrdiff_t>(spec.pad);
-            const double v = *in++;
-            if (ix >= 0 && ix < static_cast<std::ptrdiff_t>(d.w))
-              dxrow[static_cast<std::size_t>(ix)] += v;
-          }
+        const TapRun cols = tap_run(kx, d.w, d.wo, spec);
+        const std::size_t run = cols.hi - cols.lo;
+        for (std::size_t oy = rows.lo; oy < rows.hi && run > 0; ++oy) {
+          double* dst = dxmap + tap_offset(oy, ky, cols.lo, kx, d, spec);
+          const double* src = in + oy * d.wo + cols.lo;
+          for (std::size_t j = 0; j < run; ++j) dst[j * s] += src[j];
         }
+        in += d.ho * d.wo;
       }
     }
   }

@@ -64,12 +64,15 @@ inline std::size_t conv_flops(const ConvDims& d) {
 
 /// x image [ci,h,w] -> col [K = ci*kh*kw, P = ho*wo], row r = (ic,ky,kx) in
 /// ascending order (matching the naive accumulation order), padding as
-/// explicit zeros.
+/// explicit zeros. Each (row, kernel tap) is packed as one run: the
+/// in-bounds output range is computed per tap, copied (memcpy at stride 1)
+/// and its borders zero-filled, with no per-element bounds test.
 void im2col(const double* xi, const ConvDims& d, const ConvSpec& spec,
             double* col);
 
-/// Scatter-accumulate col [K,P] back into one pre-zeroed dx image, visiting
-/// rows in the same ascending (ic,ky,kx) order im2col wrote them.
+/// Scatter-accumulate col [K,P] back into one dx image, visiting rows in the
+/// same ascending (ic,ky,kx) order im2col wrote them (so every dx element
+/// receives its adds in the same order), one in-bounds run per tap.
 void col2im(const double* col, const ConvDims& d, const ConvSpec& spec,
             double* dxi);
 

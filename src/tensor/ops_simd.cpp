@@ -85,7 +85,8 @@ inline float lane_fold(const float* l) {
 //   row_sums:     dst[i] = Σ_pos src[i, pos]                  (8-lane sums)
 // conv2d rides these: forward = gemm_rows over [co,K]·col[K,P] (bias-filled
 // C), dw = gemm_bt_rows(dy, col), db = row_sums(dy), dcol = gemm_at_rows
-// with W viewed as [co, K].
+// with W viewed as [co, K]. A 1x1 stride-1 unpadded convolution uses the
+// input image as col and writes dcol straight into dx (col_is_image()).
 // ---------------------------------------------------------------------------
 
 void gemm_rows_scalar(const double* pa, const double* pb, double* pc,
@@ -225,72 +226,158 @@ void gemm_bt_rows_f32_scalar(const float* pa, const float* pb, float* pc,
 // AVX2 + FMA3. `vfmadd` rounds once per term exactly like std::fma, and the
 // broadcast/lane structure matches the scalar fallback term-for-term, so
 // these are bitwise-identical to the *_scalar kernels above.
+//
+// The FMAs go through fmadd()/fmadd_sd(), which fix the instruction form.
+// When several operands of one FMA are NaN, x86 returns the product's first
+// operand's NaN, else the second's, else the addend's. The intrinsic leaves
+// the form, and with it which NaN survives, to the register allocator;
+// these helpers keep the NaN operand order the kernels were recorded with
+// (tests/integration/test_training_goldens.cpp pins it).
+
+/// acc = x*y + acc; on NaN operands x wins over y, y over acc.
+__attribute__((target("avx2,fma"))) inline void fmadd(__m256d& acc, __m256d x,
+                                                      __m256d y) {
+  asm("vfmadd231pd %[y], %[x], %[acc]"
+      : [acc] "+x"(acc)
+      : [x] "x"(x), [y] "xm"(y));
+}
+
+/// Scalar fmadd(): acc = x*y + acc with the same NaN operand order.
+__attribute__((target("avx2,fma"))) inline void fmadd_sd(double& acc, double x,
+                                                         double y) {
+  asm("vfmadd231sd %[y], %[x], %[acc]"
+      : [acc] "+x"(acc)
+      : [x] "x"(x), [y] "xm"(y));
+}
+
+/// One C row's columns [j0, n) over the k-block [p0, p1): the 4-wide and
+/// scalar column tails of the broadcast kernels. `a` is the row's A
+/// operand, `ps` its stride over p.
+__attribute__((target("avx2,fma"))) void broadcast_tail_avx2(
+    const double* a, std::size_t ps, const double* pb, double* crow,
+    std::size_t p0, std::size_t p1, std::size_t j0, std::size_t n) {
+  for (std::size_t p = p0; p < p1; ++p) {
+    const double av = a[p * ps];
+    if (av == 0.0) continue;  // broadcast zero-skip: masks 0·Inf
+    const double* brow = pb + p * n;
+    const __m256d va = _mm256_set1_pd(av);
+    std::size_t j = j0;
+    for (; j + 4 <= n; j += 4) {
+      __m256d c = _mm256_loadu_pd(crow + j);
+      fmadd(c, va, _mm256_loadu_pd(brow + j));
+      _mm256_storeu_pd(crow + j, c);
+    }
+    for (; j < n; ++j) fmadd_sd(crow[j], av, brow[j]);
+  }
+}
+
+/// The broadcast shape shared by gemm_rows and gemm_at_rows:
+/// C[r0..r1, n] += A·B[k, n] with A(i, p) = pa[i*rs + p*ps]. Per k-block,
+/// each 8-column stripe of C is held in ymm registers, 4 rows at a time,
+/// while p runs over the block. The B stripe of a block (kKc x 8 doubles)
+/// stays in L1 across all row tiles. Every element still receives its FMA
+/// chain in ascending p, with the zero-skip decided per row and term.
+__attribute__((target("avx2,fma"))) void broadcast_rows_avx2(
+    const double* pa, std::size_t rs, std::size_t ps, const double* pb,
+    double* pc, std::size_t r0, std::size_t r1, std::size_t k,
+    std::size_t n) {
+  const std::size_t n8 = n - n % 8;
+  for (std::size_t p0 = 0; p0 < k; p0 += kKc) {
+    const std::size_t p1 = std::min(k, p0 + kKc);
+    for (std::size_t j = 0; j < n8; j += 8) {
+      std::size_t i = r0;
+      for (; i + 4 <= r1; i += 4) {
+        const double* a = pa + i * rs;
+        double* c = pc + i * n + j;
+        __m256d c00 = _mm256_loadu_pd(c), c01 = _mm256_loadu_pd(c + 4);
+        __m256d c10 = _mm256_loadu_pd(c + n), c11 = _mm256_loadu_pd(c + n + 4);
+        __m256d c20 = _mm256_loadu_pd(c + 2 * n);
+        __m256d c21 = _mm256_loadu_pd(c + 2 * n + 4);
+        __m256d c30 = _mm256_loadu_pd(c + 3 * n);
+        __m256d c31 = _mm256_loadu_pd(c + 3 * n + 4);
+        for (std::size_t p = p0; p < p1; ++p) {
+          const double* ap = a + p * ps;
+          const double a0 = ap[0], a1 = ap[rs], a2 = ap[2 * rs],
+                       a3 = ap[3 * rs];
+          const double* b = pb + p * n + j;
+          const __m256d b0 = _mm256_loadu_pd(b), b1 = _mm256_loadu_pd(b + 4);
+          if (a0 != 0.0) {
+            const __m256d v = _mm256_set1_pd(a0);
+            fmadd(c00, v, b0);
+            fmadd(c01, v, b1);
+          }
+          if (a1 != 0.0) {
+            const __m256d v = _mm256_set1_pd(a1);
+            fmadd(c10, v, b0);
+            fmadd(c11, v, b1);
+          }
+          if (a2 != 0.0) {
+            const __m256d v = _mm256_set1_pd(a2);
+            fmadd(c20, v, b0);
+            fmadd(c21, v, b1);
+          }
+          if (a3 != 0.0) {
+            const __m256d v = _mm256_set1_pd(a3);
+            fmadd(c30, v, b0);
+            fmadd(c31, v, b1);
+          }
+        }
+        _mm256_storeu_pd(c, c00);
+        _mm256_storeu_pd(c + 4, c01);
+        _mm256_storeu_pd(c + n, c10);
+        _mm256_storeu_pd(c + n + 4, c11);
+        _mm256_storeu_pd(c + 2 * n, c20);
+        _mm256_storeu_pd(c + 2 * n + 4, c21);
+        _mm256_storeu_pd(c + 3 * n, c30);
+        _mm256_storeu_pd(c + 3 * n + 4, c31);
+      }
+      for (; i < r1; ++i) {
+        const double* a = pa + i * rs;
+        double* c = pc + i * n + j;
+        __m256d c0 = _mm256_loadu_pd(c), c1 = _mm256_loadu_pd(c + 4);
+        for (std::size_t p = p0; p < p1; ++p) {
+          const double av = a[p * ps];
+          if (av == 0.0) continue;
+          const double* b = pb + p * n + j;
+          const __m256d v = _mm256_set1_pd(av);
+          fmadd(c0, v, _mm256_loadu_pd(b));
+          fmadd(c1, v, _mm256_loadu_pd(b + 4));
+        }
+        _mm256_storeu_pd(c, c0);
+        _mm256_storeu_pd(c + 4, c1);
+      }
+    }
+    if (n8 < n) {
+      for (std::size_t i = r0; i < r1; ++i)
+        broadcast_tail_avx2(pa + i * rs, ps, pb, pc + i * n, p0, p1, n8, n);
+    }
+  }
+}
 
 __attribute__((target("avx2,fma"))) void gemm_rows_avx2(
     const double* pa, const double* pb, double* pc, std::size_t r0,
     std::size_t r1, std::size_t k, std::size_t n) {
-  for (std::size_t p0 = 0; p0 < k; p0 += kKc) {
-    const std::size_t p1 = std::min(k, p0 + kKc);
-    for (std::size_t i = r0; i < r1; ++i) {
-      const double* arow = pa + i * k;
-      double* crow = pc + i * n;
-      for (std::size_t p = p0; p < p1; ++p) {
-        const double av = arow[p];
-        if (av == 0.0) continue;
-        const double* brow = pb + p * n;
-        const __m256d va = _mm256_set1_pd(av);
-        std::size_t j = 0;
-        for (; j + 8 <= n; j += 8) {
-          __m256d c0 = _mm256_loadu_pd(crow + j);
-          __m256d c1 = _mm256_loadu_pd(crow + j + 4);
-          c0 = _mm256_fmadd_pd(va, _mm256_loadu_pd(brow + j), c0);
-          c1 = _mm256_fmadd_pd(va, _mm256_loadu_pd(brow + j + 4), c1);
-          _mm256_storeu_pd(crow + j, c0);
-          _mm256_storeu_pd(crow + j + 4, c1);
-        }
-        for (; j + 4 <= n; j += 4) {
-          __m256d c0 = _mm256_loadu_pd(crow + j);
-          c0 = _mm256_fmadd_pd(va, _mm256_loadu_pd(brow + j), c0);
-          _mm256_storeu_pd(crow + j, c0);
-        }
-        for (; j < n; ++j) crow[j] = std::fma(av, brow[j], crow[j]);
-      }
-    }
-  }
+  broadcast_rows_avx2(pa, k, 1, pb, pc, r0, r1, k, n);
 }
 
 __attribute__((target("avx2,fma"))) void gemm_at_rows_avx2(
     const double* pa, const double* pb, double* pc, std::size_t r0,
     std::size_t r1, std::size_t k, std::size_t m, std::size_t n) {
-  for (std::size_t p0 = 0; p0 < k; p0 += kKc) {
-    const std::size_t p1 = std::min(k, p0 + kKc);
-    for (std::size_t i = r0; i < r1; ++i) {
-      double* crow = pc + i * n;
-      for (std::size_t p = p0; p < p1; ++p) {
-        const double av = pa[p * m + i];
-        if (av == 0.0) continue;
-        const double* brow = pb + p * n;
-        const __m256d va = _mm256_set1_pd(av);
-        std::size_t j = 0;
-        for (; j + 8 <= n; j += 8) {
-          __m256d c0 = _mm256_loadu_pd(crow + j);
-          __m256d c1 = _mm256_loadu_pd(crow + j + 4);
-          c0 = _mm256_fmadd_pd(va, _mm256_loadu_pd(brow + j), c0);
-          c1 = _mm256_fmadd_pd(va, _mm256_loadu_pd(brow + j + 4), c1);
-          _mm256_storeu_pd(crow + j, c0);
-          _mm256_storeu_pd(crow + j + 4, c1);
-        }
-        for (; j + 4 <= n; j += 4) {
-          __m256d c0 = _mm256_loadu_pd(crow + j);
-          c0 = _mm256_fmadd_pd(va, _mm256_loadu_pd(brow + j), c0);
-          _mm256_storeu_pd(crow + j, c0);
-        }
-        for (; j < n; ++j) crow[j] = std::fma(av, brow[j], crow[j]);
-      }
-    }
-  }
+  broadcast_rows_avx2(pa, 1, m, pb, pc, r0, r1, k, n);
 }
 
+/// Finish one 8-lane dot whose vector lanes are stored in `lanes`: fold the
+/// tail terms p >= n8 into lanes 0.., then the fixed lane fold.
+__attribute__((target("avx2,fma"))) inline double finish_dot_avx2(
+    double* lanes, const double* arow, const double* brow, std::size_t n8,
+    std::size_t n) {
+  for (std::size_t p = n8; p < n; ++p)
+    fmadd_sd(lanes[p - n8], brow[p], arow[p]);
+  return lane_fold(lanes);
+}
+
+/// Four dot outputs per pass over the A row: C[i, j..j+4) share each A
+/// load, and every output keeps its own 8 lanes, tail and fold.
 __attribute__((target("avx2,fma"))) void gemm_bt_rows_avx2(
     const double* pa, const double* pb, double* pc, std::size_t r0,
     std::size_t r1, std::size_t n, std::size_t kk) {
@@ -298,22 +385,54 @@ __attribute__((target("avx2,fma"))) void gemm_bt_rows_avx2(
   for (std::size_t i = r0; i < r1; ++i) {
     const double* arow = pa + i * n;
     double* crow = pc + i * kk;
-    for (std::size_t j = 0; j < kk; ++j) {
-      const double* brow = pb + j * n;
-      __m256d acc0 = _mm256_setzero_pd();  // lanes 0..3
-      __m256d acc1 = _mm256_setzero_pd();  // lanes 4..7
+    std::size_t j = 0;
+    for (; j + 4 <= kk; j += 4) {
+      const double* b0 = pb + j * n;
+      const double* b1 = b0 + n;
+      const double* b2 = b1 + n;
+      const double* b3 = b2 + n;
+      __m256d s00 = _mm256_setzero_pd(), s01 = _mm256_setzero_pd();
+      __m256d s10 = _mm256_setzero_pd(), s11 = _mm256_setzero_pd();
+      __m256d s20 = _mm256_setzero_pd(), s21 = _mm256_setzero_pd();
+      __m256d s30 = _mm256_setzero_pd(), s31 = _mm256_setzero_pd();
       for (std::size_t p = 0; p < n8; p += kLanes) {
-        acc0 = _mm256_fmadd_pd(_mm256_loadu_pd(arow + p),
-                               _mm256_loadu_pd(brow + p), acc0);
-        acc1 = _mm256_fmadd_pd(_mm256_loadu_pd(arow + p + 4),
-                               _mm256_loadu_pd(brow + p + 4), acc1);
+        const __m256d a0 = _mm256_loadu_pd(arow + p);
+        const __m256d a1 = _mm256_loadu_pd(arow + p + 4);
+        fmadd(s00, a0, _mm256_loadu_pd(b0 + p));
+        fmadd(s01, a1, _mm256_loadu_pd(b0 + p + 4));
+        fmadd(s10, a0, _mm256_loadu_pd(b1 + p));
+        fmadd(s11, a1, _mm256_loadu_pd(b1 + p + 4));
+        fmadd(s20, a0, _mm256_loadu_pd(b2 + p));
+        fmadd(s21, a1, _mm256_loadu_pd(b2 + p + 4));
+        fmadd(s30, a0, _mm256_loadu_pd(b3 + p));
+        fmadd(s31, a1, _mm256_loadu_pd(b3 + p + 4));
+      }
+      double lanes[4][kLanes];
+      _mm256_storeu_pd(lanes[0], s00);
+      _mm256_storeu_pd(lanes[0] + 4, s01);
+      _mm256_storeu_pd(lanes[1], s10);
+      _mm256_storeu_pd(lanes[1] + 4, s11);
+      _mm256_storeu_pd(lanes[2], s20);
+      _mm256_storeu_pd(lanes[2] + 4, s21);
+      _mm256_storeu_pd(lanes[3], s30);
+      _mm256_storeu_pd(lanes[3] + 4, s31);
+      crow[j] = finish_dot_avx2(lanes[0], arow, b0, n8, n);
+      crow[j + 1] = finish_dot_avx2(lanes[1], arow, b1, n8, n);
+      crow[j + 2] = finish_dot_avx2(lanes[2], arow, b2, n8, n);
+      crow[j + 3] = finish_dot_avx2(lanes[3], arow, b3, n8, n);
+    }
+    for (; j < kk; ++j) {
+      const double* brow = pb + j * n;
+      __m256d s0 = _mm256_setzero_pd(), s1 = _mm256_setzero_pd();
+      for (std::size_t p = 0; p < n8; p += kLanes) {
+        fmadd(s0, _mm256_loadu_pd(arow + p), _mm256_loadu_pd(brow + p));
+        fmadd(s1, _mm256_loadu_pd(arow + p + 4),
+              _mm256_loadu_pd(brow + p + 4));
       }
       double lanes[kLanes];
-      _mm256_storeu_pd(lanes, acc0);
-      _mm256_storeu_pd(lanes + 4, acc1);
-      for (std::size_t p = n8; p < n; ++p)
-        lanes[p - n8] = std::fma(arow[p], brow[p], lanes[p - n8]);
-      crow[j] = lane_fold(lanes);
+      _mm256_storeu_pd(lanes, s0);
+      _mm256_storeu_pd(lanes + 4, s1);
+      crow[j] = finish_dot_avx2(lanes, arow, brow, n8, n);
     }
   }
 }
@@ -710,6 +829,12 @@ GemmBtRowsF32Fn pick_gemm_bt_rows_f32() {
   return gemm_bt_rows_f32_scalar;
 }
 
+/// A 1x1, stride-1, unpadded convolution's col matrix [ci, h*w] is the
+/// input image itself: the conv driver skips im2col and col2im there.
+bool col_is_image(const detail::ConvDims& d, const ConvSpec& spec) {
+  return d.kh == 1 && d.kw == 1 && spec.stride == 1 && spec.pad == 0;
+}
+
 /// Quantize a double panel to binary16 storage (bitwise identical to
 /// quantize_value(v, 16)) and widen it exactly to fp32 compute form. The u16
 /// panel is the storage representation the corrupter's Table VII campaigns
@@ -791,16 +916,19 @@ void conv2d_forward(const Tensor& x, const Tensor& w, const Tensor& b,
   const std::size_t x_img = d.ci * d.h * d.w;
   const std::size_t y_img = d.co * P;
   const GemmRowsFn rows = pick_gemm_rows();
+  const bool direct = col_is_image(d, spec);
 
   run_chunks(d.n, conv_flops(d) >= kPoolMinFlops,
              [&](std::size_t n0, std::size_t n1) {
                Workspace& ws = Workspace::tls();
                for (std::size_t img = n0; img < n1; ++img) {
                  Workspace::Scope scope(ws);
-                 double* col = ws.alloc(K * P);
-                 {
+                 const double* col = px + img * x_img;
+                 if (!direct) {
                    ScopedHistTimer t("kernels.im2col_time");
-                   im2col(px + img * x_img, d, spec, col);
+                   double* packed = ws.alloc(K * P);
+                   im2col(col, d, spec, packed);
+                   col = packed;
                  }
                  ScopedHistTimer t("kernels.gemm_time");
                  double* yi = py + img * y_img;
@@ -837,6 +965,7 @@ void conv2d_backward(const Tensor& x, const Tensor& w, const ConvSpec& spec,
   const GemmBtRowsFn bt = pick_gemm_bt_rows();
   const GemmAtRowsFn at = pick_gemm_at_rows();
   const RowSumsFn sums = pick_row_sums();
+  const bool direct = col_is_image(d, spec);
 
   // Per-image dw/db partials reduced in ascending image order afterwards —
   // the same --jobs N ≡ --jobs 1 mechanism as the fast backend. Partials
@@ -852,11 +981,17 @@ void conv2d_backward(const Tensor& x, const Tensor& w, const ConvSpec& spec,
                Workspace& ws = Workspace::tls();
                for (std::size_t img = n0; img < n1; ++img) {
                  Workspace::Scope scope(ws);
-                 double* col = ws.alloc(K * P);
-                 double* dcol = ws.alloc(K * P);
-                 {
+                 const double* col = px + img * x_img;
+                 double* dxi = pdx + img * x_img;
+                 // Pointwise: dcol is the dx image itself (col2im is the
+                 // identity there).
+                 double* dcol = dxi;
+                 if (!direct) {
                    ScopedHistTimer t("kernels.im2col_time");
-                   im2col(px + img * x_img, d, spec, col);
+                   double* packed = ws.alloc(K * P);
+                   im2col(col, d, spec, packed);
+                   col = packed;
+                   dcol = ws.alloc(K * P);
                  }
                  const double* dyi = pdy + img * y_img;
                  double* dwp = partials + img * part_stride;
@@ -870,13 +1005,21 @@ void conv2d_backward(const Tensor& x, const Tensor& w, const ConvSpec& spec,
                    // dcol[K,P] = W[co,K]^T·dy_img[co,P] — the broadcast
                    // transpose microkernel (W viewed as [co,K], ascending oc
                    // per element).
-                   for (std::size_t e = 0; e < K * P; ++e) dcol[e] = 0.0;
+                   std::fill_n(dcol, K * P, 0.0);
                    at(pw, dyi, dcol, 0, K, d.co, K, P);
                  }
-                 double* dxi = pdx + img * x_img;
-                 ScopedHistTimer t("kernels.im2col_time");
-                 for (std::size_t e = 0; e < x_img; ++e) dxi[e] = 0.0;
-                 col2im(dcol, d, spec, dxi);
+                 if (direct) {
+                   // col2im would add each element once into a zeroed image:
+                   // dx = 0.0 + dcol. Replay that add in place. It maps a
+                   // dcol -0.0 (an underflowed negative product) to +0.0,
+                   // and leaves every other value's bits as they are.
+                   for (std::size_t e = 0; e < x_img; ++e)
+                     dxi[e] = 0.0 + dxi[e];
+                 } else {
+                   ScopedHistTimer t("kernels.im2col_time");
+                   std::fill_n(dxi, x_img, 0.0);
+                   col2im(dcol, d, spec, dxi);
+                 }
                }
              });
 

@@ -361,7 +361,23 @@ class Parser {
     return Json(d);
   }
 
+  /// One array/object level for the duration of its parse.
+  class Nesting {
+   public:
+    explicit Nesting(Parser& p) : p_(p) {
+      if (++p_.depth_ > Json::kMaxDepth)
+        p_.fail("nesting deeper than " + std::to_string(Json::kMaxDepth));
+    }
+    ~Nesting() { --p_.depth_; }
+    Nesting(const Nesting&) = delete;
+    Nesting& operator=(const Nesting&) = delete;
+
+   private:
+    Parser& p_;
+  };
+
   Json array() {
+    const Nesting level(*this);
     expect('[');
     Json arr = Json::array();
     skip_ws();
@@ -379,6 +395,7 @@ class Parser {
   }
 
   Json object() {
+    const Nesting level(*this);
     expect('{');
     Json obj = Json::object();
     skip_ws();
@@ -401,6 +418,7 @@ class Parser {
 
   const std::string& s_;
   std::size_t pos_ = 0;
+  std::size_t depth_ = 0;
 };
 
 }  // namespace

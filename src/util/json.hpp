@@ -5,6 +5,7 @@
 // insertion order so logs diff cleanly.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <memory>
 #include <string>
@@ -67,7 +68,13 @@ class Json {
   /// Serialize. indent < 0 means compact single-line output.
   std::string dump(int indent = -1) const;
 
-  /// Parse a JSON text; throws FormatError on malformed input.
+  /// Deepest array/object nesting parse() accepts. The parser recurses once
+  /// per level, so hostile input ("[[[[...") must fail cleanly long before
+  /// the stack runs out.
+  static constexpr std::size_t kMaxDepth = 512;
+
+  /// Parse a JSON text; throws FormatError on malformed input, including
+  /// nesting deeper than kMaxDepth.
   static Json parse(const std::string& text);
 
  private:

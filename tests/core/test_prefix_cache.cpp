@@ -36,6 +36,7 @@ PrefixEntryData make_entry(double salt) {
   e.state.put_tensor(running);
   e.state.put_scalars({salt, 1.0 / salt});
   e.state.put_shape({2, 3, 5});
+  e.state.put_mask({1, 0, 0, 1, 1, 0, 1});
 
   obs::RecordedPoint p1;
   p1.point = {"conv1", obs::ProbePhase::kForward};
@@ -58,6 +59,7 @@ void expect_entries_equal(const PrefixEntryData& a, const PrefixEntryData& b) {
     EXPECT_EQ(a.state.blocks()[i].tag, b.state.blocks()[i].tag);
     EXPECT_EQ(a.state.blocks()[i].f64, b.state.blocks()[i].f64);
     EXPECT_EQ(a.state.blocks()[i].u64, b.state.blocks()[i].u64);
+    EXPECT_EQ(a.state.blocks()[i].u8, b.state.blocks()[i].u8);
   }
   ASSERT_EQ(a.probe_prefix.size(), b.probe_prefix.size());
   for (std::size_t i = 0; i < a.probe_prefix.size(); ++i) {

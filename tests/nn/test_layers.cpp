@@ -3,6 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <cstring>
+#include <limits>
+#include <vector>
 
 #include "util/common.hpp"
 
@@ -99,6 +103,82 @@ TEST(ReLULayer, PropagatesNaN) {
   const Tensor y = relu.forward(x, true);
   EXPECT_TRUE(std::isnan(y[0]));
   EXPECT_DOUBLE_EQ(y[1], 0.0);
+}
+
+bool is_positive_zero(double v) { return v == 0.0 && !std::signbit(v); }
+
+// The keep test is !(v <= 0): NaN (either sign, any payload) passes through
+// unchanged, every other non-positive value becomes +0.0 — -0.0 included —
+// and backward zeroes exactly the dropped elements.
+TEST(ReLULayer, NaNPassesAndNegativeZeroBecomesPositiveZero) {
+  const double nan_neg = -std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  Tensor x({1, 9});
+  x.vec() = {std::nan(""), nan_neg, -0.0, 0.0, -inf, inf, -1e-320, 2.5, -3.0};
+  ReLU relu("r");
+  const Tensor y = relu.forward(x, true);
+  EXPECT_EQ(std::memcmp(y.data(), x.data(), sizeof(double)), 0);  // payload
+  EXPECT_EQ(std::memcmp(y.data() + 1, x.data() + 1, sizeof(double)), 0);
+  EXPECT_TRUE(is_positive_zero(y[2]));
+  EXPECT_TRUE(is_positive_zero(y[3]));
+  EXPECT_TRUE(is_positive_zero(y[4]));
+  EXPECT_EQ(y[5], inf);
+  EXPECT_TRUE(is_positive_zero(y[6]));
+  EXPECT_EQ(y[7], 2.5);
+  EXPECT_TRUE(is_positive_zero(y[8]));
+
+  Tensor dy({1, 9});
+  dy.vec() = {1.0, 2.0, -0.0, 4.0, 5.0, -6.0, 7.0, std::nan(""), 9.0};
+  const Tensor dx = relu.backward(dy);
+  EXPECT_EQ(dx[0], 1.0);
+  EXPECT_EQ(dx[1], 2.0);
+  EXPECT_TRUE(is_positive_zero(dx[2]));
+  EXPECT_TRUE(is_positive_zero(dx[3]));
+  EXPECT_TRUE(is_positive_zero(dx[4]));
+  EXPECT_EQ(dx[5], -6.0);
+  EXPECT_TRUE(is_positive_zero(dx[6]));
+  EXPECT_TRUE(std::isnan(dx[7]));  // kept gradient, NaN or not
+  EXPECT_TRUE(is_positive_zero(dx[8]));
+}
+
+// The ReLU mask is prefix state: capture then restore into a fresh layer
+// must reproduce the forward's backward bitwise.
+TEST(ReLULayer, MaskRoundTripsThroughPrefixState) {
+  Tensor x({2, 5});
+  x.vec() = {1.0, -1.0, std::nan(""), -0.0, 0.0, 3.0, -2.0, 4.0, 1e-300, -5.0};
+  ReLU relu("r");
+  relu.forward(x, true);
+  PrefixState state;
+  relu.capture_forward_state(state);
+  ASSERT_EQ(state.block_count(), 1u);
+  EXPECT_EQ(state.blocks()[0].tag, PrefixState::Tag::kMask);
+  EXPECT_EQ(state.byte_size(), x.numel());  // one byte per element
+
+  ReLU restored("r");
+  PrefixStateReader reader(state);
+  restored.restore_forward_state(reader);
+  EXPECT_TRUE(reader.exhausted());
+  Tensor dy({2, 5});
+  for (std::size_t i = 0; i < dy.numel(); ++i) dy[i] = 1.0 + i;
+  const Tensor want = relu.backward(dy);
+  const Tensor got = restored.backward(dy);
+  EXPECT_EQ(std::memcmp(want.data(), got.data(), want.numel() * sizeof(double)),
+            0);
+}
+
+TEST(PrefixStateMask, StoresBytesAndRestoresZeroOrOne) {
+  PrefixState state;
+  state.put_mask({1, 0, 1, 1, 0});
+  PrefixState::Block tampered = state.blocks()[0];
+  tampered.u8[2] = 0xff;  // any nonzero byte restores as 1
+  PrefixState copy;
+  copy.append_block(tampered);
+  std::vector<std::uint8_t> m;
+  PrefixStateReader reader(copy);
+  reader.take_mask(m);
+  EXPECT_EQ(m, (std::vector<std::uint8_t>{1, 0, 1, 1, 0}));
+  EXPECT_TRUE(state.blocks()[0].u64.empty());
+  EXPECT_EQ(state.byte_size(), 5u);
 }
 
 TEST(FlattenLayer, RoundTrips) {

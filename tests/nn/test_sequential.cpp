@@ -2,6 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <cstdint>
+#include <memory>
+#include <vector>
+
 #include "nn/layers.hpp"
 #include "util/common.hpp"
 
@@ -101,6 +106,62 @@ TEST(Residual, BackwardSplitsGradientAcrossBranches) {
   const Tensor dx = res.backward(Tensor({1, 1, 1, 1}, 1.0));
   // dy/dx = d(3x)/dx = 3 through the active relu.
   EXPECT_DOUBLE_EQ(dx[0], 3.0);
+}
+
+// The join ReLU follows the ReLU layer's contract: relu(m + s) keeps NaN,
+// maps -0.0 (and every non-positive sum) to +0.0, and backward routes the
+// masked gradient to both branches (identity shortcut: dx = dmain + g).
+TEST(Residual, JoinKeepsNaNAndMapsNegativeZeroToPositiveZero) {
+  auto main = std::make_unique<Sequential>("m");
+  main->emplace<Conv2D>("c", 1, 1, 1, 1, 0);  // zero weights: main(x) = 0
+  Residual res("res", std::move(main));
+  Tensor x({1, 1, 1, 5});
+  x.vec() = {std::nan(""), -0.0, -2.0, 3.0, 0.0};
+  const Tensor y = res.forward(x, true);
+  EXPECT_TRUE(std::isnan(y[0]));
+  EXPECT_TRUE(y[1] == 0.0 && !std::signbit(y[1]));  // (+0) + (-0) = +0
+  EXPECT_TRUE(y[2] == 0.0 && !std::signbit(y[2]));
+  EXPECT_EQ(y[3], 3.0);
+  EXPECT_TRUE(y[4] == 0.0 && !std::signbit(y[4]));
+  EXPECT_EQ(x[1], 0.0);  // the identity shortcut's input is left alone
+  EXPECT_TRUE(std::signbit(x[1]));
+
+  Tensor dy({1, 1, 1, 5});
+  dy.vec() = {1.0, 2.0, 3.0, 4.0, 5.0};
+  const Tensor dx = res.backward(dy);
+  // main's dx is W^T g = 0 everywhere; the shortcut passes g through.
+  EXPECT_EQ(dx[0], 1.0);
+  EXPECT_EQ(dx[1], 0.0);
+  EXPECT_EQ(dx[2], 0.0);
+  EXPECT_EQ(dx[3], 4.0);
+  EXPECT_EQ(dx[4], 0.0);
+}
+
+TEST(Residual, JoinMaskRoundTripsThroughPrefixState) {
+  auto make = [] {
+    auto main = std::make_unique<Sequential>("m");
+    main->emplace<Conv2D>("c", 1, 1, 1, 1, 0);
+    return std::make_unique<Residual>("res", std::move(main));
+  };
+  auto res = make();
+  Tensor x({1, 1, 2, 3});
+  x.vec() = {1.0, -1.0, std::nan(""), -0.0, 2.0, -3.0};
+  res->forward(x, true);
+  PrefixState state;
+  res->capture_forward_state(state);
+  EXPECT_EQ(state.blocks()[0].tag, PrefixState::Tag::kMask);
+  EXPECT_EQ(state.blocks()[0].u8,
+            (std::vector<std::uint8_t>{1, 0, 1, 0, 1, 0}));
+
+  auto restored = make();
+  PrefixStateReader reader(state);
+  restored->restore_forward_state(reader);
+  EXPECT_TRUE(reader.exhausted());
+  Tensor dy({1, 1, 2, 3});
+  dy.vec() = {1.0, 2.0, 3.0, 4.0, 5.0, 6.0};
+  const Tensor want = res->backward(dy);
+  const Tensor got = restored->backward(dy);
+  EXPECT_EQ(want.vec(), got.vec());
 }
 
 TEST(Residual, ShapeMismatchThrows) {

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 #include <limits>
 #include <vector>
 
@@ -48,6 +49,74 @@ void record_step(Probes& p, std::uint64_t id, double a, double b) {
   const double bwd[3] = {b, b, b};
   p.record("dense1", ProbePhase::kForward, fwd, 2);
   p.record("dense1", ProbePhase::kBackward, bwd, 3);
+}
+
+/// The serial branchy loop tensor_stats replaced: the bitwise reference.
+TensorStats tensor_stats_reference(const double* x, std::size_t n) {
+  TensorStats s;
+  s.numel = n;
+  double sumsq = 0.0;
+  for (std::size_t i = 0; i < n; ++i) {
+    const double v = x[i];
+    if (std::isnan(v)) {
+      ++s.nan_count;
+      continue;
+    }
+    if (std::isinf(v)) {
+      ++s.inf_count;
+      continue;
+    }
+    if (v == 0.0) ++s.zero_count;
+    const double a = std::fabs(v);
+    if (a > s.max_abs) s.max_abs = a;
+    sumsq += v * v;
+  }
+  s.l2 = std::sqrt(sumsq);
+  return s;
+}
+
+void expect_same_bits(const TensorStats& got, const TensorStats& want) {
+  EXPECT_EQ(std::memcmp(&got.l2, &want.l2, sizeof(double)), 0)
+      << got.l2 << " vs " << want.l2;
+  EXPECT_EQ(std::memcmp(&got.max_abs, &want.max_abs, sizeof(double)), 0)
+      << got.max_abs << " vs " << want.max_abs;
+  EXPECT_EQ(got.nan_count, want.nan_count);
+  EXPECT_EQ(got.inf_count, want.inf_count);
+  EXPECT_EQ(got.zero_count, want.zero_count);
+  EXPECT_EQ(got.numel, want.numel);
+}
+
+TEST(TensorStats, MatchesSerialReferenceBitwise) {
+  constexpr double kSub = std::numeric_limits<double>::denorm_min();
+  constexpr double kMax = std::numeric_limits<double>::max();
+  const std::vector<std::vector<double>> cases = {
+      {},
+      {kNan},
+      {-0.0},
+      {kInf, -kInf},
+      {0.0, -0.0, kNan},
+      {1e-300, -kSub, 3 * kSub, -1e-310},      // squares underflow to zero
+      {1e200, -1e200, 1.0, 2.0, 1e155},        // sum of squares overflows
+      {kMax, kNan, -kInf, -kMax, 0.5, -0.0, 7.0},
+      {-kNan, 1.0, -1.0, 1e-160, 2.0, -3.0, kInf, 0.0, 5.0},
+  };
+  for (const std::vector<double>& x : cases) {
+    expect_same_bits(tensor_stats(x.data(), x.size()),
+                     tensor_stats_reference(x.data(), x.size()));
+  }
+  // Every length 0..33 over a mixed stream, so each vector-body/tail split
+  // is covered at every offset of the special values.
+  std::vector<double> mixed;
+  const double pattern[] = {1.5,  kNan, -0.0, 2e-310, -kInf, 0.0,  -4.25,
+                            1e300, kInf, -1e-5, 3.0,   kSub,  -1e300};
+  for (int rep = 0; rep < 3; ++rep)
+    for (const double v : pattern) mixed.push_back(v * (rep + 1));
+  for (std::size_t off = 0; off < 2; ++off) {
+    for (std::size_t n = 0; n + off <= 34 && n + off <= mixed.size(); ++n) {
+      expect_same_bits(tensor_stats(mixed.data() + off, n),
+                       tensor_stats_reference(mixed.data() + off, n));
+    }
+  }
 }
 
 TEST(Probes, LayoutLearnedOnStepZeroThenFrozen) {

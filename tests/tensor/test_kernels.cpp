@@ -21,11 +21,16 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstddef>
 #include <cstring>
+#include <iterator>
+#include <limits>
 #include <vector>
 
 #include "tensor/ops.hpp"
+#include "tensor/ops_detail.hpp"
 #include "tensor/quantize.hpp"
 #include "tensor/workspace.hpp"
 #include "util/rng.hpp"
@@ -357,7 +362,16 @@ INSTANTIATE_TEST_SUITE_P(
                       GemmShape{128, 300, 65},  // k-blocked + pool path
                       GemmShape{0, 5, 4},       // empty m
                       GemmShape{5, 0, 4},       // empty k: all-zero result
-                      GemmShape{5, 4, 0}));     // empty n
+                      GemmShape{5, 4, 0},       // empty n
+                      // Register-tile edges: 4-row x 8-column C tiles and
+                      // 4-output dot passes (bt's output count is k here).
+                      GemmShape{4, 16, 16},     // whole tiles only
+                      GemmShape{5, 13, 16},     // m % 4 == 1, k % 4 == 1
+                      GemmShape{6, 14, 12},     // m % 4 == 2, n tail of 4
+                      GemmShape{7, 11, 21},     // m % 4 == 3, n tail of 5
+                      GemmShape{9, 6, 3},       // n < 8: tails only
+                      GemmShape{3, 7, 8},       // fewer rows than a tile
+                      GemmShape{13, 258, 29}));  // tiles across kKc blocks
 
 class SimdConvEquivalence : public ::testing::TestWithParam<ConvShape> {};
 
@@ -413,7 +427,231 @@ INSTANTIATE_TEST_SUITE_P(
         ConvShape{1, 2, 7, 9, 3, 3, 2, 1},      // odd non-square, stride 2
         ConvShape{2, 2, 5, 5, 3, 5, 1, 2},      // 5x5 kernel, same-pad
         ConvShape{1, 1, 4, 4, 1, 3, 1, 0},      // valid conv, shrinks
-        ConvShape{2, 4, 16, 16, 8, 3, 1, 1}));  // big enough for pool path
+        ConvShape{2, 4, 16, 16, 8, 3, 1, 1},    // big enough for pool path
+        ConvShape{2, 6, 5, 7, 5, 1, 1, 0},      // 1x1 s1 p0: col is x
+        ConvShape{2, 6, 8, 8, 9, 1, 2, 0},      // 1x1 s2: packed, not x
+        ConvShape{1, 2, 4, 5, 3, 2, 1, 2},      // pad >= kernel
+        ConvShape{1, 3, 6, 6, 5, 3, 3, 3}));    // pad == kernel, stride 3
+
+// ---------------------------------------------------------------------------
+// The conv driver. detail::im2col/col2im copy in row runs; they must equal
+// the per-element loops below (the previous implementation, kept as the
+// reference). And simd conv must equal an explicit im2col + GEMM composed
+// from the public simd kernels, on every path the driver takes: packed
+// k x k, strided 1x1, and the 1x1 stride-1 convolution that uses x itself
+// as the col matrix. Both ISAs run the same driver, so scalar-vs-vector
+// checks alone cannot catch a driver change.
+
+void im2col_reference(const double* xi, const detail::ConvDims& d,
+                      const ConvSpec& spec, double* col) {
+  double* out = col;
+  for (std::size_t ic = 0; ic < d.ci; ++ic) {
+    const double* xmap = xi + ic * d.h * d.w;
+    for (std::size_t ky = 0; ky < d.kh; ++ky) {
+      for (std::size_t kx = 0; kx < d.kw; ++kx) {
+        for (std::size_t oy = 0; oy < d.ho; ++oy) {
+          const std::ptrdiff_t iy =
+              static_cast<std::ptrdiff_t>(oy * spec.stride + ky) -
+              static_cast<std::ptrdiff_t>(spec.pad);
+          for (std::size_t ox = 0; ox < d.wo; ++ox) {
+            const std::ptrdiff_t ix =
+                static_cast<std::ptrdiff_t>(ox * spec.stride + kx) -
+                static_cast<std::ptrdiff_t>(spec.pad);
+            const bool inside =
+                iy >= 0 && iy < static_cast<std::ptrdiff_t>(d.h) && ix >= 0 &&
+                ix < static_cast<std::ptrdiff_t>(d.w);
+            *out++ = inside ? xmap[static_cast<std::size_t>(iy) * d.w +
+                                   static_cast<std::size_t>(ix)]
+                            : 0.0;
+          }
+        }
+      }
+    }
+  }
+}
+
+void col2im_reference(const double* col, const detail::ConvDims& d,
+                      const ConvSpec& spec, double* dxi) {
+  const double* in = col;
+  for (std::size_t ic = 0; ic < d.ci; ++ic) {
+    double* dxmap = dxi + ic * d.h * d.w;
+    for (std::size_t ky = 0; ky < d.kh; ++ky) {
+      for (std::size_t kx = 0; kx < d.kw; ++kx) {
+        for (std::size_t oy = 0; oy < d.ho; ++oy) {
+          const std::ptrdiff_t iy =
+              static_cast<std::ptrdiff_t>(oy * spec.stride + ky) -
+              static_cast<std::ptrdiff_t>(spec.pad);
+          for (std::size_t ox = 0; ox < d.wo; ++ox) {
+            const std::ptrdiff_t ix =
+                static_cast<std::ptrdiff_t>(ox * spec.stride + kx) -
+                static_cast<std::ptrdiff_t>(spec.pad);
+            const double v = *in++;
+            if (iy >= 0 && iy < static_cast<std::ptrdiff_t>(d.h) && ix >= 0 &&
+                ix < static_cast<std::ptrdiff_t>(d.w))
+              dxmap[static_cast<std::size_t>(iy) * d.w +
+                    static_cast<std::size_t>(ix)] += v;
+          }
+        }
+      }
+    }
+  }
+}
+
+/// Inf, NaN, signed zeros and huge values written over `t`.
+void poison(Tensor& t) {
+  const double values[] = {std::numeric_limits<double>::infinity(),
+                           -std::numeric_limits<double>::infinity(),
+                           std::numeric_limits<double>::quiet_NaN(),
+                           0.0,
+                           -0.0,
+                           1e300,
+                           -1e300};
+  const std::size_t step = std::max<std::size_t>(1, t.numel() / 7);
+  for (std::size_t i = 0; i < std::size(values) && i * step < t.numel(); ++i)
+    t[i * step] = values[i];
+}
+
+class ConvDriver : public ::testing::TestWithParam<ConvShape> {};
+
+TEST_P(ConvDriver, Im2colCol2imMatchPerElementReference) {
+  const ConvShape s = GetParam();
+  Rng rng(959 + s.h * 7 + s.kernel);
+  Tensor x = random_tensor({s.n, s.ci, s.h, s.w}, rng);
+  poison(x);  // copies must carry NaN payloads and -0.0 untouched
+  const Tensor w({s.co, s.ci, s.kernel, s.kernel});
+  const ConvSpec spec{s.kernel, s.stride, s.pad};
+  const detail::ConvDims d = detail::conv_dims(x, w, spec);
+  const std::size_t K = d.ci * d.kh * d.kw, P = d.ho * d.wo;
+  const std::size_t x_img = d.ci * d.h * d.w;
+  for (std::size_t img = 0; img < d.n; ++img) {
+    std::vector<double> got(K * P, 7.0), want(K * P, -7.0);
+    detail::im2col(x.data() + img * x_img, d, spec, got.data());
+    im2col_reference(x.data() + img * x_img, d, spec, want.data());
+    EXPECT_EQ(std::memcmp(got.data(), want.data(), K * P * sizeof(double)), 0);
+
+    // Scatter-add onto a non-zero image, so the add order shows.
+    Tensor col = random_tensor({K, P}, rng);
+    poison(col);
+    Tensor dx_got = random_tensor({x_img}, rng);
+    Tensor dx_want = dx_got;
+    detail::col2im(col.data(), d, spec, dx_got.data());
+    col2im_reference(col.data(), d, spec, dx_want.data());
+    expect_bitwise(dx_got, dx_want);
+  }
+}
+
+TEST_P(ConvDriver, SimdConvMatchesExplicitIm2colGemm) {
+  const ConvShape s = GetParam();
+  Rng rng(969 + s.h * 7 + s.kernel);
+  const Tensor x = random_tensor({s.n, s.ci, s.h, s.w}, rng);
+  Tensor w = random_tensor({s.co, s.ci, s.kernel, s.kernel}, rng);
+  poison(w);
+  const Tensor b = random_tensor({s.co}, rng);
+  const ConvSpec spec{s.kernel, s.stride, s.pad};
+  const detail::ConvDims d = detail::conv_dims(x, w, spec);
+  const std::size_t K = d.ci * d.kh * d.kw, P = d.ho * d.wo;
+  const std::size_t x_img = d.ci * d.h * d.w;
+  Tensor dy = random_tensor({s.n, s.co, d.ho, d.wo}, rng);
+  sprinkle_zeros(dy, rng);
+
+  Tensor y, dx, dw, db;
+  simd::conv2d_forward(x, w, b, spec, y);
+  simd::conv2d_backward(x, w, spec, dy, dx, dw, db);
+
+  const Tensor wmat = w.reshaped({s.co, K});
+  Tensor dw_want({s.co, K});
+  for (std::size_t img = 0; img < d.n; ++img) {
+    Tensor col({K, P});
+    detail::im2col(x.data() + img * x_img, d, spec, col.data());
+    // Forward: bias-filled C += W[co,K] . col[K,P].
+    Tensor y_want({s.co, P});
+    for (std::size_t oc = 0; oc < s.co; ++oc)
+      for (std::size_t pos = 0; pos < P; ++pos) y_want[oc * P + pos] = b[oc];
+    simd::matmul(wmat, col, y_want, /*accumulate=*/true);
+    Tensor y_img({s.co, P});
+    std::memcpy(y_img.data(), y.data() + img * s.co * P,
+                s.co * P * sizeof(double));
+    expect_bitwise(y_img, y_want);
+
+    Tensor dy_img({s.co, P});
+    std::memcpy(dy_img.data(), dy.data() + img * s.co * P,
+                s.co * P * sizeof(double));
+    // dw: per-image dy . col^T partials summed in ascending image order.
+    Tensor part;
+    simd::matmul_bt(dy_img, col, part);
+    for (std::size_t e = 0; e < s.co * K; ++e) dw_want[e] += part[e];
+    // dx: dcol = W^T . dy, scattered into a zeroed image.
+    Tensor dcol;
+    simd::matmul_at(wmat, dy_img, dcol);
+    Tensor dx_want({x_img});
+    detail::col2im(dcol.data(), d, spec, dx_want.data());
+    Tensor dx_img({x_img});
+    std::memcpy(dx_img.data(), dx.data() + img * x_img,
+                x_img * sizeof(double));
+    expect_bitwise(dx_img, dx_want);
+  }
+  expect_bitwise(dw.reshaped({s.co, K}), dw_want);
+}
+
+// Inf/NaN/±0/±1e300 weights: the scalar fallback and the vector ISA agree
+// bitwise on every conv path (inputs stay finite, so no FMA meets two NaN
+// multiplicands; see docs/KERNELS.md "NaN operand order").
+TEST_P(SimdConvEquivalence, NonFiniteWeightsScalarVectorBitwise) {
+  const ConvShape s = GetParam();
+  Rng rng(979 + s.h * 7 + s.kernel);
+  const Tensor x = random_tensor({s.n, s.ci, s.h, s.w}, rng);
+  Tensor w = random_tensor({s.co, s.ci, s.kernel, s.kernel}, rng);
+  poison(w);
+  const Tensor b = random_tensor({s.co}, rng);
+  const ConvSpec spec{s.kernel, s.stride, s.pad};
+  Tensor dy = random_tensor(
+      {s.n, s.co, spec.out_extent(s.h), spec.out_extent(s.w)}, rng);
+  Tensor yv, dxv, dwv, dbv, ys, dxs, dws, dbs;
+  simd::conv2d_forward(x, w, b, spec, yv);
+  simd::conv2d_backward(x, w, spec, dy, dxv, dwv, dbv);
+  {
+    IsaGuard guard(SimdIsa::kScalar);
+    simd::conv2d_forward(x, w, b, spec, ys);
+    simd::conv2d_backward(x, w, spec, dy, dxs, dws, dbs);
+  }
+  expect_bitwise(ys, yv);
+  expect_bitwise(dxs, dxv);
+  expect_bitwise(dws, dwv);
+  expect_bitwise(dbs, dbv);
+}
+
+// A 1x1 stride-1 convolution accumulates dcol in the dx image itself. A
+// negative product that underflows leaves -0.0 there; scattering into a
+// zeroed image (what col2im and naive do) gives +0.0, and so must the
+// in-place path.
+TEST(ConvDriverPointwise, UnderflowedGradientIsPositiveZero) {
+  const Tensor x({2, 3, 2, 2}, 1.0);
+  const Tensor w({1, 3, 1, 1}, -1e-200);
+  const Tensor dy({2, 1, 2, 2}, 1e-200);  // w * dy = -1e-400 -> -0.0
+  const ConvSpec spec{1, 1, 0};
+  Tensor dx, dw, db, dxn, dwn, dbn;
+  simd::conv2d_backward(x, w, spec, dy, dx, dw, db);
+  naive::conv2d_backward(x, w, spec, dy, dxn, dwn, dbn);
+  for (std::size_t i = 0; i < dx.numel(); ++i)
+    EXPECT_FALSE(std::signbit(dx[i])) << "i=" << i;
+  expect_bitwise(dx, dxn);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Shapes, ConvDriver,
+    ::testing::Values(
+        ConvShape{1, 1, 1, 1, 1, 1, 1, 0},    // single pixel, 1x1 kernel
+        ConvShape{2, 3, 8, 8, 4, 3, 1, 1},    // 3x3 same-pad
+        ConvShape{1, 2, 7, 9, 3, 3, 2, 1},    // odd non-square, stride 2
+        ConvShape{2, 2, 5, 5, 3, 5, 1, 2},    // 5x5 kernel, same-pad
+        ConvShape{1, 1, 4, 4, 1, 3, 1, 0},    // valid conv, shrinks
+        ConvShape{2, 6, 5, 7, 5, 1, 1, 0},    // 1x1 s1 p0: col is x
+        ConvShape{2, 6, 8, 8, 9, 1, 2, 0},    // 1x1 s2: packed, not x
+        ConvShape{1, 3, 6, 7, 4, 1, 1, 1},    // 1x1 padded: packed
+        ConvShape{1, 2, 4, 5, 3, 2, 1, 2},    // pad >= kernel
+        ConvShape{1, 3, 6, 6, 5, 3, 3, 3},    // pad == kernel, stride 3
+        ConvShape{1, 2, 3, 3, 2, 3, 2, 4},    // taps that read only padding
+        ConvShape{2, 4, 16, 16, 8, 3, 1, 1}));  // pool path
 
 // ---------------------------------------------------------------------------
 // fp16 mixed-precision GEMM: operands are quantized to binary16 storage

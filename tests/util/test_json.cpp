@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstddef>
+#include <string>
+
 #include "util/common.hpp"
 
 namespace ckptfi {
@@ -97,6 +100,38 @@ TEST(Json, ParseErrors) {
   EXPECT_THROW(Json::parse("tru"), FormatError);
   EXPECT_THROW(Json::parse("1 2"), FormatError);
   EXPECT_THROW(Json::parse(R"({"a" 1})"), FormatError);
+}
+
+// Hostile nesting must fail cleanly: before the cap, 1 MB of '[' overflowed
+// the recursive parser's stack.
+TEST(Json, NestingDepthIsCapped) {
+  const std::size_t cap = Json::kMaxDepth;
+  const auto nested = [](std::size_t depth, char open, char close) {
+    return std::string(depth, open) + std::string(depth, close);
+  };
+  const Json at_cap = Json::parse(nested(cap, '[', ']'));
+  EXPECT_TRUE(at_cap.is_array());
+
+  std::string objects;
+  for (std::size_t i = 0; i < cap; ++i) objects += "{\"k\":";
+  objects += "1" + std::string(cap, '}');
+  EXPECT_NO_THROW(Json::parse(objects));
+
+  EXPECT_THROW(Json::parse(nested(cap + 1, '[', ']')), FormatError);
+  EXPECT_THROW(Json::parse("{\"k\":" + nested(cap, '[', ']') + "}"),
+               FormatError);
+  EXPECT_THROW(Json::parse(std::string(1 << 20, '[')), FormatError);
+  try {
+    Json::parse(std::string(1 << 20, '['));
+  } catch (const FormatError& e) {
+    EXPECT_NE(std::string(e.what()).find("nesting deeper than 512"),
+              std::string::npos)
+        << e.what();
+  }
+  // Depth is per path, not per document: many shallow siblings are fine.
+  std::string wide = "[";
+  for (std::size_t i = 0; i < 4 * cap; ++i) wide += (i ? ",[[]]" : "[[]]");
+  EXPECT_EQ(Json::parse(wide + "]").size(), 4 * cap);
 }
 
 TEST(Json, RoundTripPrettyAndCompact) {
