@@ -16,13 +16,16 @@
 #include <benchmark/benchmark.h>
 
 #include <cstdio>
+#include <limits>
 #include <string>
 #include <vector>
 
 #include "bench/micro_common.hpp"
+#include "core/nev.hpp"
 #include "hdf5/file.hpp"
 #include "obs/obs.hpp"
 #include "util/bitops.hpp"
+#include "util/crc32.hpp"
 #include "util/rng.hpp"
 
 using namespace ckptfi;
@@ -275,6 +278,48 @@ void BM_EncodeDecode(benchmark::State& state) {
                           4096);
 }
 BENCHMARK(BM_EncodeDecode)->Arg(16)->Arg(32)->Arg(64);
+
+using Crc32Kernel = std::uint32_t (*)(const void*, std::size_t,
+                                     std::uint32_t);
+
+/// CRC-32 throughput over one buffer of state.range(0) bytes: the kernel
+/// every payload fault-in, save and checksum runs.
+void BM_Crc32(benchmark::State& state, Crc32Kernel kernel) {
+  std::vector<std::uint8_t> buf(static_cast<std::size_t>(state.range(0)));
+  Rng rng(17);
+  for (auto& b : buf) b = static_cast<std::uint8_t>(rng.next_u64());
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(kernel(buf.data(), buf.size(), 0));
+  }
+  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(buf.size()));
+}
+BENCHMARK_CAPTURE(BM_Crc32, dispatch, &crc32)
+    ->Arg(4 << 10)->Arg(64 << 10)->Arg(1 << 20)->Arg(8 << 20);
+BENCHMARK_CAPTURE(BM_Crc32, slice16, &detail::crc32_slice16)
+    ->Arg(4 << 10)->Arg(64 << 10)->Arg(1 << 20)->Arg(8 << 20);
+
+/// N-EV scan of one materialized 1M-element float dataset at width
+/// state.range(0), with a sprinkle of NaN/Inf/extreme entries.
+void BM_NevScan(benchmark::State& state) {
+  const int bits = static_cast<int>(state.range(0));
+  constexpr std::uint64_t kElems = 1u << 20;
+  mh5::File f;
+  auto& ds = f.create_dataset("w", mh5::float_dtype_for_bits(bits), {kElems});
+  Rng rng(19);
+  for (std::uint64_t i = 0; i < kElems; ++i) ds.set_double(i, rng.normal());
+  for (std::uint64_t i = 0; i < kElems; i += 4099) {
+    const double nev[] = {std::numeric_limits<double>::quiet_NaN(),
+                          -std::numeric_limits<double>::infinity(), -1e31};
+    ds.set_double(i, nev[i % 3]);
+  }
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(core::scan_checkpoint(f).nev());
+  }
+  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(ds.raw().size()));
+}
+BENCHMARK(BM_NevScan)->Arg(16)->Arg(32)->Arg(64);
 
 }  // namespace
 

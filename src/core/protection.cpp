@@ -2,46 +2,37 @@
 
 #include <cmath>
 
+#include "core/nev.hpp"
+
 namespace ckptfi::core {
 
 GuardReport guard_checkpoint(mh5::File& file, const GuardConfig& cfg) {
+  const NevClassifier classifier(cfg.extreme_threshold);
   GuardReport report;
-  const auto repair = [&](mh5::Dataset& ds, std::uint64_t i, double v) {
-    if (cfg.action == RepairAction::Reject) return;
-    double fixed;
-    if (std::isnan(v)) {
-      fixed = 0.0;
-    } else if (cfg.action == RepairAction::Zero) {
-      fixed = 0.0;
-    } else {  // Clamp
-      fixed = std::copysign(cfg.extreme_threshold, v);
-      if (std::isinf(v)) fixed = std::copysign(cfg.extreme_threshold, v);
-    }
-    ds.set_double(i, fixed);
-    ++report.repaired;
-  };
-
+  NevScan scan;
   file.visit([&](const std::string&, const mh5::Node& node) {
     if (!node.is_dataset()) return;
+    if (cfg.action == RepairAction::Reject) {
+      classifier.scan(node.dataset(), scan);
+      return;
+    }
     // visit() hands out const nodes; repairs mutate the same tree the caller
     // owns, so the const_cast is confined here.
     auto& ds = const_cast<mh5::Dataset&>(node.dataset());
-    if (!mh5::dtype_is_float(ds.dtype())) return;
-    for (std::uint64_t i = 0; i < ds.num_elements(); ++i) {
-      const double v = ds.get_double(i);
-      ++report.scanned;
-      if (std::isnan(v)) {
-        ++report.nan_found;
-        repair(ds, i, v);
-      } else if (std::isinf(v)) {
-        ++report.inf_found;
-        repair(ds, i, v);
-      } else if (std::fabs(v) > cfg.extreme_threshold) {
-        ++report.extreme_found;
-        repair(ds, i, v);
-      }
-    }
+    classifier.scan(ds, scan, [&](std::uint64_t i, NevClass cls) {
+      // NaN has no usable sign; Clamp keeps the sign of Inf and extremes.
+      const bool zero =
+          cls == NevClass::Nan || cfg.action == RepairAction::Zero;
+      ds.set_double(i, zero ? 0.0
+                            : std::copysign(cfg.extreme_threshold,
+                                            ds.get_double(i)));
+      ++report.repaired;
+    });
   });
+  report.scanned = scan.total;
+  report.nan_found = scan.nan;
+  report.inf_found = scan.inf;
+  report.extreme_found = scan.extreme;
   report.rejected =
       cfg.action == RepairAction::Reject && report.found() > 0;
   return report;

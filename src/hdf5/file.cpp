@@ -15,6 +15,10 @@ namespace {
 
 constexpr char kMagic[4] = {'M', 'H', '5', 'F'};
 
+/// The tree reader recurses once per group level; real checkpoints are a
+/// few levels deep, so a deeper tree is a corrupt (or hostile) file.
+constexpr int kMaxTreeDepth = 256;
+
 // --- byte stream reading over an in-memory buffer ---
 
 class Reader {
@@ -59,6 +63,7 @@ class Reader {
     pos_ += n;
   }
   bool at_end() const { return pos_ == size_; }
+  std::size_t remaining() const { return size_ - pos_; }
 
  private:
   void need(std::size_t n) {
@@ -107,6 +112,43 @@ void read_attrs(Reader& r, Node& node) {
   }
 }
 
+/// A dataset header (dtype + dims), validated so nothing downstream
+/// allocates or indexes beyond what the container can hold: a known dtype,
+/// no zero dim, and a payload of at most `max_bytes` (no overflow).
+struct DatasetHeader {
+  DType dtype;
+  std::vector<std::uint64_t> dims;
+};
+
+DatasetHeader read_dataset_header(Reader& r, std::uint64_t max_bytes) {
+  const std::uint8_t code = r.u8();
+  if (code > static_cast<std::uint8_t>(DType::U8))
+    throw FormatError("mh5: bad dtype");
+  DatasetHeader h{static_cast<DType>(code), {}};
+  const std::uint32_t ndim = r.u32();
+  if (ndim > r.remaining() / 8) throw FormatError("mh5: truncated file");
+  h.dims.resize(ndim);
+  std::uint64_t nbytes = dtype_size(h.dtype);
+  for (auto& d : h.dims) {
+    d = r.u64();
+    if (d == 0) throw FormatError("mh5: zero-sized dimension");
+    if (d > max_bytes / nbytes)
+      throw FormatError("mh5: dataset larger than its container");
+    nbytes *= d;
+  }
+  return h;
+}
+
+/// Group children as add_child wants them, or FormatError.
+void add_parsed_child(Node& parent, const std::string& name,
+                      std::unique_ptr<Node> child) {
+  if (name.empty() || name.find('/') != std::string::npos)
+    throw FormatError("mh5: bad child name");
+  if (parent.find(name) != nullptr)
+    throw FormatError("mh5: duplicate child '" + name + "'");
+  parent.add_child(name, std::move(child));
+}
+
 // --- v1: payloads inlined into the tree ---
 
 void write_node_v1(SinkWriter& w, const Node& node) {
@@ -131,7 +173,8 @@ void write_node_v1(SinkWriter& w, const Node& node) {
   }
 }
 
-std::unique_ptr<Node> read_node_v1(Reader& r) {
+std::unique_ptr<Node> read_node_v1(Reader& r, int depth) {
+  if (depth > kMaxTreeDepth) throw FormatError("mh5: tree nested too deep");
   const std::uint8_t kind = r.u8();
   if (kind == 0) {
     auto node = std::make_unique<Node>();
@@ -139,7 +182,7 @@ std::unique_ptr<Node> read_node_v1(Reader& r) {
     const std::uint32_t n = r.u32();
     for (std::uint32_t i = 0; i < n; ++i) {
       std::string name = r.str();
-      node->add_child(name, read_node_v1(r));
+      add_parsed_child(*node, name, read_node_v1(r, depth + 1));
     }
     return node;
   }
@@ -147,12 +190,8 @@ std::unique_ptr<Node> read_node_v1(Reader& r) {
     // Read attributes into a temp group node, then move onto the dataset.
     Node attr_holder;
     read_attrs(r, attr_holder);
-    const auto dtype = static_cast<DType>(r.u8());
-    dtype_size(dtype);  // validates
-    const std::uint32_t ndim = r.u32();
-    std::vector<std::uint64_t> dims(ndim);
-    for (auto& d : dims) d = r.u64();
-    Dataset ds(dtype, std::move(dims));
+    DatasetHeader h = read_dataset_header(r, r.remaining());
+    Dataset ds(h.dtype, std::move(h.dims));
     const std::uint64_t nbytes = r.u64();
     if (nbytes != ds.raw().size())
       throw FormatError("mh5: dataset byte count mismatch");
@@ -188,7 +227,12 @@ void write_tree_v2(SinkWriter& w, const Node& node) {
   }
 }
 
-std::unique_ptr<Node> read_tree_node_v2(Reader& r) {
+/// `payload_limit` bounds every dataset's payload size: payloads live
+/// before the TOC, so none can exceed the TOC offset.
+std::unique_ptr<Node> read_tree_node_v2(Reader& r,
+                                        std::uint64_t payload_limit,
+                                        int depth) {
+  if (depth > kMaxTreeDepth) throw FormatError("mh5: tree nested too deep");
   const std::uint8_t kind = r.u8();
   if (kind == 0) {
     auto node = std::make_unique<Node>();
@@ -196,20 +240,17 @@ std::unique_ptr<Node> read_tree_node_v2(Reader& r) {
     const std::uint32_t n = r.u32();
     for (std::uint32_t i = 0; i < n; ++i) {
       std::string name = r.str();
-      node->add_child(name, read_tree_node_v2(r));
+      add_parsed_child(*node, name,
+                       read_tree_node_v2(r, payload_limit, depth + 1));
     }
     return node;
   }
   if (kind == 1) {
     Node attr_holder;
     read_attrs(r, attr_holder);
-    const auto dtype = static_cast<DType>(r.u8());
-    dtype_size(dtype);  // validates
-    const std::uint32_t ndim = r.u32();
-    std::vector<std::uint64_t> dims(ndim);
-    for (auto& d : dims) d = r.u64();
+    DatasetHeader h = read_dataset_header(r, payload_limit);
     auto node = std::make_unique<Node>(
-        Dataset(dtype, std::move(dims), Dataset::DeferPayload{}));
+        Dataset(h.dtype, std::move(h.dims), Dataset::DeferPayload{}));
     for (const auto& [k, v] : attr_holder.attrs()) node->set_attr(k, v);
     return node;
   }
@@ -250,7 +291,7 @@ File deserialize_v1(const std::uint8_t* data, std::size_t size) {
   Reader r(data, size);
   std::uint8_t header[8];
   r.raw(header, 8);  // magic + version, validated by the caller
-  auto root = read_node_v1(r);
+  auto root = read_node_v1(r, 0);
   if (!r.at_end()) throw FormatError("mh5: trailing bytes");
   File out;
   out.root() = std::move(*root);
@@ -348,6 +389,8 @@ File File::parse_v2(std::shared_ptr<Source> src, bool lazy) {
   src->read_at(toc_offset, toc_buf.data(), toc_buf.size());
   Reader tr(toc_buf.data(), toc_buf.size());
   const std::uint32_t count = tr.u32();
+  // An entry is at least 24 bytes (empty path), which bounds the reserve.
+  if (count > tr.remaining() / 24) throw FormatError("mh5: truncated TOC");
   std::vector<TocEntry> toc;
   toc.reserve(count);
   std::uint64_t tree_end = toc_offset;
@@ -370,7 +413,7 @@ File File::parse_v2(std::shared_ptr<Source> src, bool lazy) {
   std::vector<std::uint8_t> tree_buf(static_cast<std::size_t>(tree_end - 8));
   src->read_at(8, tree_buf.data(), tree_buf.size());
   Reader r(tree_buf.data(), tree_buf.size());
-  auto root = read_tree_node_v2(r);
+  auto root = read_tree_node_v2(r, toc_offset, 0);
   if (!r.at_end()) throw FormatError("mh5: trailing bytes after tree");
 
   File f;

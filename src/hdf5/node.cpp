@@ -1,6 +1,7 @@
 #include "hdf5/node.hpp"
 
 #include <cstring>
+#include <limits>
 
 #include "obs/registry.hpp"
 #include "util/bitops.hpp"
@@ -14,6 +15,8 @@ Dataset::Dataset(DType dtype, std::vector<std::uint64_t> dims)
   nelem_ = 1;
   for (auto d : dims_) {
     require(d > 0, "Dataset: zero-sized dimension");
+    require(nelem_ <= std::numeric_limits<std::uint64_t>::max() / d,
+            "Dataset: element count overflows");
     nelem_ *= d;
   }
   if (dims_.empty()) nelem_ = 1;  // scalar

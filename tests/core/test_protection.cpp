@@ -3,9 +3,11 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <filesystem>
 
 #include "core/corrupter.hpp"
 #include "core/nev.hpp"
+#include "nev_patterns.hpp"
 
 namespace ckptfi::core {
 namespace {
@@ -101,6 +103,107 @@ TEST(Guard, DisarmsCriticalBitCorruption) {
 
   guard_checkpoint(f, {1e30, RepairAction::Zero});
   EXPECT_FALSE(scan_checkpoint(f).any());
+}
+
+// --- the bit-pattern guard vs the per-element loop it replaced -----------
+
+/// guard_checkpoint as it was: get_double per element, repairs in place.
+GuardReport reference_guard(mh5::File& file, const GuardConfig& cfg) {
+  GuardReport report;
+  const auto repair = [&](mh5::Dataset& ds, std::uint64_t i, double v) {
+    if (cfg.action == RepairAction::Reject) return;
+    double fixed;
+    if (std::isnan(v)) {
+      fixed = 0.0;
+    } else if (cfg.action == RepairAction::Zero) {
+      fixed = 0.0;
+    } else {
+      fixed = std::copysign(cfg.extreme_threshold, v);
+    }
+    ds.set_double(i, fixed);
+    ++report.repaired;
+  };
+  file.visit([&](const std::string&, const mh5::Node& node) {
+    if (!node.is_dataset()) return;
+    auto& ds = const_cast<mh5::Dataset&>(node.dataset());
+    if (!mh5::dtype_is_float(ds.dtype())) return;
+    for (std::uint64_t i = 0; i < ds.num_elements(); ++i) {
+      const double v = ds.get_double(i);
+      ++report.scanned;
+      if (std::isnan(v)) {
+        ++report.nan_found;
+        repair(ds, i, v);
+      } else if (std::isinf(v)) {
+        ++report.inf_found;
+        repair(ds, i, v);
+      } else if (std::fabs(v) > cfg.extreme_threshold) {
+        ++report.extreme_found;
+        repair(ds, i, v);
+      }
+    }
+  });
+  report.rejected = cfg.action == RepairAction::Reject && report.found() > 0;
+  return report;
+}
+
+void expect_same_report(const GuardReport& got, const GuardReport& want) {
+  EXPECT_EQ(got.scanned, want.scanned);
+  EXPECT_EQ(got.nan_found, want.nan_found);
+  EXPECT_EQ(got.inf_found, want.inf_found);
+  EXPECT_EQ(got.extreme_found, want.extreme_found);
+  EXPECT_EQ(got.repaired, want.repaired);
+  EXPECT_EQ(got.rejected, want.rejected);
+}
+
+TEST(Guard, MatchesElementwiseLoopBitForBit) {
+  const auto path =
+      (std::filesystem::temp_directory_path() / "guard_reference.mh5")
+          .string();
+  for (const double t : {1e30, 1e4, 0.5}) {
+    {
+      mh5::File f;
+      for (const int bits : {16, 32, 64}) {
+        nev_test::add_patterns(f, "w" + std::to_string(bits), bits,
+                              nev_test::edge_patterns(bits, t));
+      }
+      // A clean dataset: a repairing guard must leave it clean.
+      f.create_dataset("clean", mh5::DType::F32, {3})
+          .write_doubles({0.25, -0.25, 0.0});
+      f.create_dataset("ints", mh5::DType::I32, {2}).set_int(1, -7);
+      f.save(path);
+    }
+    for (const RepairAction action :
+         {RepairAction::Reject, RepairAction::Zero, RepairAction::Clamp}) {
+      SCOPED_TRACE("threshold " + std::to_string(t) + ", action " +
+                   std::to_string(static_cast<int>(action)));
+      const GuardConfig cfg{t, action};
+      mh5::File got = mh5::File::load_lazy(path);
+      mh5::File want = mh5::File::load_lazy(path);
+      expect_same_report(guard_checkpoint(got, cfg),
+                         reference_guard(want, cfg));
+      EXPECT_EQ(got.serialize(), want.serialize());
+      for (const auto& p : got.dataset_paths()) {
+        EXPECT_EQ(got.dataset(p).is_dirty(), want.dataset(p).is_dirty()) << p;
+      }
+      EXPECT_FALSE(got.dataset("ints").is_materialized());
+    }
+  }
+  std::filesystem::remove(path);
+}
+
+TEST(Guard, F16ThresholdBelowHalfMax) {
+  // 1e4 sits inside the f16 range: 10000 itself stays, the next half
+  // (10008) and everything above it up to 65504 is extreme.
+  mh5::File f;
+  auto& ds = f.create_dataset("w", mh5::DType::F16, {5});
+  ds.write_doubles({1e4, 10008.0, -65504.0, -1e4, 0.5});
+  mh5::File ref = mh5::File::deserialize(f.serialize());
+  const GuardConfig cfg{1e4, RepairAction::Clamp};
+  const GuardReport rep = guard_checkpoint(f, cfg);
+  expect_same_report(rep, reference_guard(ref, cfg));
+  EXPECT_EQ(rep.extreme_found, 2u);
+  EXPECT_EQ(f.serialize(), ref.serialize());
+  EXPECT_DOUBLE_EQ(f.dataset("w").get_double(2), -1e4);
 }
 
 }  // namespace

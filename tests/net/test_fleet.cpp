@@ -18,6 +18,7 @@
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "core/campaign.hpp"
@@ -188,6 +189,44 @@ TEST(Fleet, CoordinatorHealsThinnedTornArtifactViaResume) {
   EXPECT_EQ(slurp(out), baseline().rows)
       << "healed artifact must match the uninterrupted campaign bitwise";
   fs::remove(prior);
+  fs::remove(out);
+}
+
+TEST(Fleet, HostileHelloDropsOnlyThatConnection) {
+  const fs::path out = fs::temp_directory_path() / "fleet_hostile_hello.jsonl";
+  fleet::Fleetd fleetd(fleet_options(out));
+  fleetd.start();
+  // A peer whose HELLO payload is 1 MB of '[': without the JSON nesting
+  // cap the parse would recurse a million frames deep and take the
+  // coordinator down with it. It must cost that one connection only.
+  net::Socket hostile = net::Socket::connect("127.0.0.1", fleetd.port());
+  hostile.set_recv_timeout(120.0);
+  bool hostile_acked = true;
+  std::thread peer([&] {
+    // The send blocks until the coordinator reads the frame, so it runs
+    // beside fleetd.run(); everything it throws is caught here.
+    try {
+      net::send_message(hostile, net::MsgType::Hello,
+                        std::string(1u << 20, '['));
+      net::Message reply;
+      hostile_acked = net::recv_message(hostile, reply);
+    } catch (const std::exception&) {
+      hostile_acked = false;
+    }
+  });
+  const pid_t w = spawn_worker(fleetd.port());
+  const fleet::FleetdStats stats = fleetd.run();
+  peer.join();
+
+  const int status = reap(w);
+  EXPECT_TRUE(WIFEXITED(status) && WEXITSTATUS(status) == 0)
+      << "worker exit status " << status;
+  EXPECT_FALSE(hostile_acked) << "the hostile HELLO was answered";
+  EXPECT_EQ(stats.workers_seen, 1u);
+  EXPECT_EQ(stats.worker_deaths, 0u);
+  EXPECT_EQ(stats.rows_streamed, 72u);
+  EXPECT_EQ(slurp(out), baseline().rows)
+      << "artifact after a hostile peer differs from the solo bench";
   fs::remove(out);
 }
 
