@@ -52,6 +52,13 @@ class Workspace {
     return reinterpret_cast<std::uint16_t*>(alloc((n + 3) / 4));
   }
 
+  /// `n` index slots (one per double slot): the simd conv driver's offset
+  /// tables.
+  std::size_t* alloc_index(std::size_t n) {
+    static_assert(sizeof(std::size_t) == sizeof(double));
+    return reinterpret_cast<std::size_t*>(alloc(n));
+  }
+
   /// Rewind to empty and coalesce: the primary buffer is regrown to the
   /// high-water mark so the next cycle runs allocation-free. The trainer
   /// calls this at batch boundaries.
